@@ -209,6 +209,12 @@ Status CounterStore::LoadFromFile(const std::string& path) {
     std::fclose(f);
     return Status::IOError(what + ": " + path);
   };
+  if (std::fseek(f, 0, SEEK_END) != 0) return fail("cannot size file");
+  const long end = std::ftell(f);
+  if (end < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    return fail("cannot size file");
+  }
+  const uint64_t file_bytes = static_cast<uint64_t>(end);
   char magic[8];
   if (std::fread(magic, sizeof(magic), 1, f) != 1 ||
       std::memcmp(magic, kStoreMagic, sizeof(magic)) != 0) {
@@ -226,18 +232,40 @@ Status CounterStore::LoadFromFile(const std::string& path) {
         " bits/key, this store is configured for " +
         std::to_string(stride_bits_));
   }
+  // The header's counts come from the file, so bound them by what the file
+  // can hold before sizing anything from them: a corrupt count must fail
+  // with a Status, not throw bad_alloc. After the magic and the three
+  // header words come `keys` (key, slot) pairs, the pool length, and the
+  // pool itself.
+  constexpr uint64_t kFixedBytes = sizeof(kStoreMagic) + 4 * sizeof(uint64_t);
+  if (file_bytes < kFixedBytes) return fail("truncated pool header");
+  const uint64_t payload = file_bytes - kFixedBytes;
+  constexpr uint64_t kIndexEntryBytes = 2 * sizeof(uint64_t);
+  if (keys > payload / kIndexEntryBytes) {
+    return fail("key count exceeds file length");
+  }
+  if (slots > (~uint64_t{0} - 7) / stride) {
+    return fail("slot count overflows the pool size");
+  }
+  const uint64_t expected_bytes = (slots * stride + 7) / 8;
+  if (expected_bytes > payload - keys * kIndexEntryBytes) {
+    return fail("pool size exceeds file length");
+  }
   std::unordered_map<uint64_t, uint64_t> index;
   index.reserve(keys);
+  // Two keys sharing a slot would alias one counter: updating either would
+  // move both.
+  std::vector<bool> slot_taken(slots, false);
   for (uint64_t i = 0; i < keys; ++i) {
     uint64_t key = 0, slot = 0;
     if (!read_u64(&key) || !read_u64(&slot)) return fail("truncated index");
     if (slot >= slots) return fail("slot out of range");
+    if (slot_taken[slot]) return fail("duplicate slot");
+    slot_taken[slot] = true;
     if (!index.emplace(key, slot).second) return fail("duplicate key");
   }
   uint64_t pool_bytes = 0;
   if (!read_u64(&pool_bytes)) return fail("truncated pool header");
-  const uint64_t expected_bytes =
-      (slots * static_cast<uint64_t>(stride_bits_) + 7) / 8;
   if (pool_bytes != expected_bytes) return fail("pool size mismatch");
   std::vector<uint8_t> pool(pool_bytes);
   if (pool_bytes > 0 && std::fread(pool.data(), 1, pool_bytes, f) != pool_bytes) {

@@ -44,8 +44,8 @@ constexpr std::chrono::milliseconds kFlushParkBackstop(5);
 
 /// Not-full eventcount shards. Saturated producers park per ring group
 /// instead of on one shared CV, so a pipeline with thousands of saturated
-/// slots fans its notify traffic across shards the way the store stripes
-/// its locks. 16 is plenty: a shard's waiter population is
+/// slots fans its notify traffic across shards the way obs::Counter stripes
+/// its cells. 16 is plenty: a shard's waiter population is
 /// num_producers/16 at worst, and each park revalidates with TrySubmit.
 constexpr uint64_t kMaxNonFullShards = 16;
 
@@ -163,8 +163,7 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
   sample_mask_ = (uint64_t{1} << options_.latency_sample_shift) - 1;
   if (options_.enable_metrics) RegisterMetrics();
   // Clamp before spawning: more workers than rings is never useful, and
-  // worker w writes store lane w, so the pool must fit the store's lanes
-  // (no-op for kUnboundedLanes stores — the min saturates on the left).
+  // worker w writes store lane w, so the pool must fit the store's lanes.
   options_.num_workers = std::min(options_.num_workers, options_.num_producers);
   options_.num_workers =
       std::min<uint64_t>(options_.num_workers, store_->num_lanes());

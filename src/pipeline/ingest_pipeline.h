@@ -6,7 +6,7 @@
 /// Producers get private bounded SPSC queues and a non-blocking
 /// `TrySubmit` that reports `kPending` backpressure (the FASTER-style
 /// OK/Pending status model) instead of ever blocking the write path on a
-/// stripe mutex. Background workers drain the queues, **pre-aggregate
+/// store lock. Background workers drain the queues, **pre-aggregate
 /// duplicate keys within each batch** — one packed-slot
 /// deserialize/serialize per *distinct* key instead of per event, which is
 /// exactly where the store's cycles go under a Zipfian workload — and apply
@@ -24,8 +24,7 @@
 /// use of lane 0 cannot race a worker. Against a `ShardedCounterStore`
 /// this means the whole drain path is lock-free: each worker writes its
 /// own private shard and never touches another worker's cache lines. The
-/// worker count is clamped to `store->num_lanes()` (no-op for stores
-/// reporting `kUnboundedLanes`, e.g. the striped compat store).
+/// worker count is clamped to `store->num_lanes()`.
 ///
 /// Lifecycle: `Make` starts the workers; `Flush` quiesces (everything
 /// accepted so far is applied); `Drain` closes submission, flushes, and
@@ -147,7 +146,7 @@ class IngestPipeline {
  public:
   /// Starts the pipeline: one SPSC queue per producer slot and
   /// `options.num_workers` drain threads over `store` (clamped to
-  /// `store->num_lanes()` when the store's lanes are bounded). The store
+  /// `store->num_lanes()`). The store
   /// must outlive the pipeline; it is not owned.
   static Result<std::unique_ptr<IngestPipeline>> Make(
       analytics::CounterWriter* store, const PipelineOptions& options);
@@ -306,9 +305,7 @@ class IngestPipeline {
   /// full→nonfull notify the ring's not-full eventcount shard (waking
   /// producers parked in `Submit`). Returns the number of raw events
   /// consumed, attributing the work to `cells` when non-null. The
-  /// worker-owned scratch keeps the drain loop itself allocation-light;
-  /// a striped store's batch call still allocates its stripe-routing
-  /// scratch internally (a sharded store's does not).
+  /// worker-owned scratch keeps the drain loop itself allocation-light.
   uint64_t DrainOnce(const std::vector<uint64_t>& ring_ids,
                      uint64_t start_ring, uint64_t lane,
                      std::vector<Event>* raw,

@@ -1,16 +1,17 @@
 // Tests for the stores' batch APIs and snapshot accessors added for the
 // ingestion pipeline: CounterStore::IncrementBatch / ForEach and
-// ConcurrentCounterStore::IncrementBatch / ForEach / TopK.
+// ShardedCounterStore::IncrementBatch / ForEach / TopK.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
 #include "analytics/counter_store.h"
+#include "analytics/sharded_counter_store.h"
 
 namespace countlib {
 namespace analytics {
@@ -22,10 +23,18 @@ CounterStore MakeExactPlainStore() {
       .ValueOrDie();
 }
 
-ConcurrentCounterStore MakeExactStripedStore(uint64_t stripes = 8) {
-  return ConcurrentCounterStore::Make(stripes, CounterKind::kExact, 32,
-                                      (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<ShardedCounterStore> MakeExactShardedStore(uint64_t shards) {
+  return ShardedCounterStore::Make(shards, CounterKind::kExact, 32,
+                                   (uint64_t{1} << 32) - 1, 1)
       .ValueOrDie();
+}
+
+// Single-threaded write through lane `key % num_lanes`, so consecutive keys
+// land in different shards.
+void Put(ShardedCounterStore* store, uint64_t key, uint64_t weight) {
+  const KeyWeight update{key, weight};
+  ASSERT_TRUE(
+      store->IncrementBatch(key % store->num_lanes(), &update, 1).ok());
 }
 
 TEST(CounterStoreBatchTest, BatchMatchesSequentialIncrements) {
@@ -70,7 +79,7 @@ TEST(CounterStoreBatchTest, ForEachVisitsEveryKeyOnce) {
 }
 
 TEST(ConcurrentStoreBatchTest, BatchSpanningStripesMatchesTruth) {
-  auto store = MakeExactStripedStore(16);
+  auto store = MakeExactShardedStore(16);
   std::vector<KeyWeight> updates;
   std::map<uint64_t, uint64_t> truth;
   for (uint64_t i = 0; i < 2000; ++i) {
@@ -78,15 +87,21 @@ TEST(ConcurrentStoreBatchTest, BatchSpanningStripesMatchesTruth) {
     updates.push_back(u);
     truth[u.key] += u.weight;
   }
-  ASSERT_TRUE(store.IncrementBatch(updates.data(), updates.size()).ok());
-  EXPECT_EQ(store.NumKeys(), truth.size());
+  // One slice of the batch per lane: every key lives in many shards.
+  constexpr size_t kSlice = 125;
+  for (uint64_t lane = 0; lane < 16; ++lane) {
+    ASSERT_TRUE(
+        store->IncrementBatch(lane, updates.data() + lane * kSlice, kSlice)
+            .ok());
+  }
+  EXPECT_EQ(store->NumKeys(), truth.size());
   for (const auto& [key, total] : truth) {
-    EXPECT_EQ(store.Estimate(key).ValueOrDie(), static_cast<double>(total));
+    EXPECT_EQ(store->Estimate(key).ValueOrDie(), static_cast<double>(total));
   }
 }
 
 TEST(ConcurrentStoreBatchTest, ConcurrentBatchesAreExact) {
-  auto store = MakeExactStripedStore(8);
+  auto store = MakeExactShardedStore(8);
   constexpr uint64_t kThreads = 4;
   constexpr uint64_t kBatches = 50;
   constexpr uint64_t kKeys = 64;
@@ -99,7 +114,7 @@ TEST(ConcurrentStoreBatchTest, ConcurrentBatchesAreExact) {
         for (uint64_t k = 0; k < kKeys; ++k) {
           batch.push_back(KeyWeight{k, t + 1});
         }
-        ASSERT_TRUE(store.IncrementBatch(batch.data(), batch.size()).ok());
+        ASSERT_TRUE(store->IncrementBatch(t, batch.data(), batch.size()).ok());
       }
     });
   }
@@ -107,18 +122,18 @@ TEST(ConcurrentStoreBatchTest, ConcurrentBatchesAreExact) {
   // Each key got sum_t (t+1) = 10 per round, kBatches rounds.
   const double expected = 10.0 * kBatches;
   for (uint64_t k = 0; k < kKeys; ++k) {
-    EXPECT_EQ(store.Estimate(k).ValueOrDie(), expected);
+    EXPECT_EQ(store->Estimate(k).ValueOrDie(), expected);
   }
 }
 
 TEST(ConcurrentStoreSnapshotTest, ForEachCoversAllStripes) {
-  auto store = MakeExactStripedStore(8);
+  auto store = MakeExactShardedStore(8);
   for (uint64_t key = 0; key < 100; ++key) {
-    ASSERT_TRUE(store.Increment(key, key + 1).ok());
+    Put(store.get(), key, key + 1);
   }
   std::map<uint64_t, double> seen;
   ASSERT_TRUE(store
-                  .ForEach([&seen](uint64_t key, double est) {
+                  ->ForEach([&seen](uint64_t key, double est) {
                     EXPECT_TRUE(seen.emplace(key, est).second);
                   })
                   .ok());
@@ -129,11 +144,11 @@ TEST(ConcurrentStoreSnapshotTest, ForEachCoversAllStripes) {
 }
 
 TEST(ConcurrentStoreSnapshotTest, TopKReturnsLargestDescending) {
-  auto store = MakeExactStripedStore(4);
+  auto store = MakeExactShardedStore(4);
   for (uint64_t key = 0; key < 50; ++key) {
-    ASSERT_TRUE(store.Increment(key, (key + 1) * 10).ok());
+    Put(store.get(), key, (key + 1) * 10);
   }
-  auto top = store.TopK(5).ValueOrDie();
+  auto top = store->TopK(5).ValueOrDie();
   ASSERT_EQ(top.size(), 5u);
   for (uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(top[i].key, 49 - i);
@@ -141,18 +156,18 @@ TEST(ConcurrentStoreSnapshotTest, TopKReturnsLargestDescending) {
   }
 
   // k larger than the key count returns everything, still sorted.
-  auto all = store.TopK(1000).ValueOrDie();
+  auto all = store->TopK(1000).ValueOrDie();
   ASSERT_EQ(all.size(), 50u);
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_GE(all[i - 1].estimate, all[i].estimate);
   }
 
   // Ties break by ascending key.
-  auto tied = MakeExactStripedStore(4);
+  auto tied = MakeExactShardedStore(4);
   for (uint64_t key : {9u, 3u, 7u}) {
-    ASSERT_TRUE(tied.Increment(key, 5).ok());
+    Put(tied.get(), key, 5);
   }
-  auto tied_top = tied.TopK(3).ValueOrDie();
+  auto tied_top = tied->TopK(3).ValueOrDie();
   ASSERT_EQ(tied_top.size(), 3u);
   EXPECT_EQ(tied_top[0].key, 3u);
   EXPECT_EQ(tied_top[1].key, 7u);
@@ -160,8 +175,8 @@ TEST(ConcurrentStoreSnapshotTest, TopKReturnsLargestDescending) {
 }
 
 TEST(ConcurrentStoreSnapshotTest, TopKOnEmptyStoreIsEmpty) {
-  auto store = MakeExactStripedStore(4);
-  EXPECT_TRUE(store.TopK(10).ValueOrDie().empty());
+  auto store = MakeExactShardedStore(4);
+  EXPECT_TRUE(store->TopK(10).ValueOrDie().empty());
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <string>
+#include <cstring>
+#include <vector>
 
 #include "analytics/counter_store.h"
 
@@ -15,6 +16,25 @@ class PersistenceTest : public testing::Test {
   void TearDown() override { std::remove(kPath); }
   static constexpr const char* kPath = "/tmp/countlib_store_test.bin";
 };
+
+analytics::CounterStore MakeExactStore(uint64_t seed = 1) {
+  return analytics::CounterStore::MakeWithBitBudget(
+             CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, seed)
+      .ValueOrDie();
+}
+
+// Writes raw little-endian words; words[0] is the 8-byte magic.
+void WriteWords(const char* path, const std::vector<uint64_t>& words) {
+  std::FILE* f = std::fopen(path, "wb");
+  std::fwrite(words.data(), sizeof(uint64_t), words.size(), f);
+  std::fclose(f);
+}
+
+uint64_t Magic() {
+  uint64_t m = 0;
+  std::memcpy(&m, "clstore1", sizeof(m));
+  return m;
+}
 
 analytics::CounterStore MakeStore(uint64_t seed = 1) {
   return analytics::CounterStore::MakeWithBitBudget(CounterKind::kSampling, 18,
@@ -97,6 +117,44 @@ TEST_F(PersistenceTest, TruncatedFileRejectedAndStateUnharmed) {
   EXPECT_FALSE(victim.LoadFromFile(kPath).ok());
   // The failed load must not have corrupted the existing contents.
   EXPECT_DOUBLE_EQ(victim.Estimate(7).ValueOrDie(), before);
+}
+
+TEST_F(PersistenceTest, HeaderCountsBeyondFileLengthRejectedAndStateUnharmed) {
+  auto victim = MakeExactStore();
+  ASSERT_TRUE(victim.Increment(7, 123).ok());
+  // Magic, stride 32, one slot, and a key count of 2^60 in a 32-byte file.
+  WriteWords(kPath, {Magic(), 32, 1, uint64_t{1} << 60});
+  EXPECT_TRUE(victim.LoadFromFile(kPath).IsIOError());
+  // The same count with the pool length present.
+  WriteWords(kPath, {Magic(), 32, 1, uint64_t{1} << 60, 4});
+  EXPECT_TRUE(victim.LoadFromFile(kPath).IsIOError());
+  // A slot count whose pool size overflows 64 bits.
+  WriteWords(kPath, {Magic(), 32, uint64_t{1} << 62, 0, 0});
+  EXPECT_TRUE(victim.LoadFromFile(kPath).IsIOError());
+  // A slot count whose pool the file cannot hold.
+  WriteWords(kPath, {Magic(), 32, uint64_t{1} << 40, 0, uint64_t{4} << 40});
+  EXPECT_TRUE(victim.LoadFromFile(kPath).IsIOError());
+  EXPECT_EQ(victim.num_keys(), 1u);
+  EXPECT_DOUBLE_EQ(victim.Estimate(7).ValueOrDie(), 123.0);
+}
+
+TEST_F(PersistenceTest, DuplicateSlotRejectedAndStateUnharmed) {
+  // Two keys, two 32-bit slots (one pool word, zero counts). With distinct
+  // slots the file loads.
+  WriteWords(kPath, {Magic(), 32, 2, 2, 10, 0, 20, 1, 8, 0});
+  auto control = MakeExactStore();
+  ASSERT_TRUE(control.LoadFromFile(kPath).ok());
+  EXPECT_EQ(control.num_keys(), 2u);
+
+  // Key 20 aliasing key 10's slot is rejected, and the store keeps its
+  // contents.
+  WriteWords(kPath, {Magic(), 32, 2, 2, 10, 0, 20, 0, 8, 0});
+  auto victim = MakeExactStore(2);
+  ASSERT_TRUE(victim.Increment(7, 123).ok());
+  EXPECT_TRUE(victim.LoadFromFile(kPath).IsIOError());
+  EXPECT_EQ(victim.num_keys(), 1u);
+  EXPECT_DOUBLE_EQ(victim.Estimate(7).ValueOrDie(), 123.0);
+  EXPECT_TRUE(victim.Estimate(10).status().IsNotFound());
 }
 
 TEST_F(PersistenceTest, ExactKindRoundTripsExactly) {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "analytics/counter_store.h"
-#include "analytics/sharded_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "stats/error_metrics.h"
 #include "stream/trace.h"
 
@@ -85,48 +88,61 @@ TEST(CounterStoreTest, StateSurvivesInterleavedAccess) {
   EXPECT_DOUBLE_EQ(exact.Estimate(1).ValueOrDie(), 5000.0);
 }
 
-SamplingCounterParams StoreParams() {
-  SamplingCounterParams p;
-  p.budget = 1024;
-  p.t_cap = 20;
-  return p;
+// 15-bit sampling counters: a 1024-sample budget (10 bits) plus a 5-bit
+// level, enough for counts up to 2^24.
+std::unique_ptr<analytics::ShardedCounterStore> MakeShardedStore(
+    uint64_t num_shards, uint64_t seed) {
+  return analytics::ShardedCounterStore::Make(
+             num_shards, CounterKind::kSampling, 15, uint64_t{1} << 24, seed)
+      .ValueOrDie();
+}
+
+// Adds `weight` increments of `key` through shard `shard`'s lane.
+Status Put(analytics::ShardedCounterStore* store, uint64_t shard,
+           uint64_t key, uint64_t weight) {
+  const analytics::KeyWeight update{key, weight};
+  return store->IncrementBatch(shard, &update, 1);
 }
 
 TEST(ShardedStoreTest, ValidationAndRouting) {
-  EXPECT_FALSE(analytics::ShardedStore::Make(0, StoreParams(), 1).ok());
-  auto store = analytics::ShardedStore::Make(4, StoreParams(), 1).ValueOrDie();
-  EXPECT_TRUE(store.Increment(5, 42, 10).IsInvalidArgument());
-  ASSERT_TRUE(store.Increment(0, 42, 10).ok());
-  EXPECT_EQ(store.num_shards(), 4u);
+  EXPECT_FALSE(analytics::ShardedCounterStore::Make(
+                   0, CounterKind::kSampling, 15, uint64_t{1} << 24, 1)
+                   .ok());
+  auto store = MakeShardedStore(4, 1);
+  EXPECT_TRUE(Put(store.get(), 5, 42, 10).IsInvalidArgument());
+  ASSERT_TRUE(Put(store.get(), 0, 42, 10).ok());
+  EXPECT_EQ(store->num_shards(), 4u);
 }
 
 TEST(ShardedStoreTest, MergedEstimateSumsAcrossShards) {
-  auto store = analytics::ShardedStore::Make(4, StoreParams(), 7).ValueOrDie();
+  auto store = MakeShardedStore(4, 7);
   // Key 1: 40k spread over all four shards; key 2: only shard 3.
   for (uint64_t shard = 0; shard < 4; ++shard) {
-    ASSERT_TRUE(store.Increment(shard, 1, 10000).ok());
+    ASSERT_TRUE(Put(store.get(), shard, 1, 10000).ok());
   }
-  ASSERT_TRUE(store.Increment(3, 2, 5000).ok());
+  ASSERT_TRUE(Put(store.get(), 3, 2, 5000).ok());
 
-  const double merged = store.MergedEstimate(1).ValueOrDie();
+  const double merged = store->Estimate(1).ValueOrDie();
   EXPECT_NEAR(merged, 40000.0, 0.25 * 40000);
-  EXPECT_NEAR(store.MergedEstimate(2).ValueOrDie(), 5000.0, 0.25 * 5000);
-  EXPECT_TRUE(store.MergedEstimate(99).status().IsNotFound());
-  // Per-shard view is smaller than the merged view.
-  EXPECT_LT(store.ShardEstimate(0, 1).ValueOrDie(), merged);
+  EXPECT_NEAR(store->Estimate(2).ValueOrDie(), 5000.0, 0.25 * 5000);
+  EXPECT_TRUE(store->Estimate(99).status().IsNotFound());
 }
 
 TEST(ShardedStoreTest, KeysUnionAndStateAccounting) {
-  auto store = analytics::ShardedStore::Make(2, StoreParams(), 7).ValueOrDie();
-  ASSERT_TRUE(store.Increment(0, 10, 5).ok());
-  ASSERT_TRUE(store.Increment(1, 10, 5).ok());
-  ASSERT_TRUE(store.Increment(1, 20, 5).ok());
-  auto keys = store.Keys();
+  auto store = MakeShardedStore(2, 7);
+  ASSERT_TRUE(Put(store.get(), 0, 10, 5).ok());
+  ASSERT_TRUE(Put(store.get(), 1, 10, 5).ok());
+  ASSERT_TRUE(Put(store.get(), 1, 20, 5).ok());
+  std::vector<uint64_t> keys;
+  ASSERT_TRUE(
+      store->ForEach([&keys](uint64_t key, double) { keys.push_back(key); })
+          .ok());
+  std::sort(keys.begin(), keys.end());
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], 10u);
   EXPECT_EQ(keys[1], 20u);
-  // 3 counters x 30 bits (budget 1024 -> 10 bits + t_cap 20 -> 5 bits).
-  EXPECT_EQ(store.TotalStateBits(), 3u * 15u);
+  // 3 provisioned slots (key 10 in both shards, key 20 in one) x 15 bits.
+  EXPECT_EQ(store->TotalStateBits(), 3u * 15u);
 }
 
 TEST(ShardedStoreTest, MergedMatchesSingleStoreStatistically) {
@@ -135,17 +151,15 @@ TEST(ShardedStoreTest, MergedMatchesSingleStoreStatistically) {
   double merged_sum = 0, direct_sum = 0;
   const int reps = 60;
   for (int rep = 0; rep < reps; ++rep) {
-    auto sharded =
-        analytics::ShardedStore::Make(3, StoreParams(), 100 + rep).ValueOrDie();
-    ASSERT_TRUE(sharded.Increment(0, 1, n / 3).ok());
-    ASSERT_TRUE(sharded.Increment(1, 1, n / 3).ok());
-    ASSERT_TRUE(sharded.Increment(2, 1, n - 2 * (n / 3)).ok());
-    merged_sum += sharded.MergedEstimate(1).ValueOrDie();
+    auto sharded = MakeShardedStore(3, 100 + rep);
+    ASSERT_TRUE(Put(sharded.get(), 0, 1, n / 3).ok());
+    ASSERT_TRUE(Put(sharded.get(), 1, 1, n / 3).ok());
+    ASSERT_TRUE(Put(sharded.get(), 2, 1, n - 2 * (n / 3)).ok());
+    merged_sum += sharded->Estimate(1).ValueOrDie();
 
-    auto single =
-        analytics::ShardedStore::Make(1, StoreParams(), 500 + rep).ValueOrDie();
-    ASSERT_TRUE(single.Increment(0, 1, n).ok());
-    direct_sum += single.MergedEstimate(1).ValueOrDie();
+    auto single = MakeShardedStore(1, 500 + rep);
+    ASSERT_TRUE(Put(single.get(), 0, 1, n).ok());
+    direct_sum += single->Estimate(1).ValueOrDie();
   }
   EXPECT_NEAR(merged_sum / reps, direct_sum / reps, 0.05 * n);
 }

@@ -2,11 +2,13 @@
 // hierarchy's cross-class edges concurrently, in the documented order,
 // so the TSAN CI lane (which includes this suite) would observe any
 // lock-order inversion the static analyzer misses as a real deadlock or
-// race. The three edges covered are exactly the ones the static engine
-// cannot fully see (docs/concurrency.md "Known limits"):
+// race. The paths covered are exactly the ones the static engine cannot
+// fully see (docs/concurrency.md "Known limits"):
 //
-//   Registry::mu_ (60) -> ConcurrentCounterStore::mu (80)
-//     via gauge std::function callbacks run under the registry lock;
+//   Registry::mu_ (60) -> ShardedCounterStore gauge callbacks
+//     via std::function callbacks run under the registry lock; the
+//     gauges read relaxed mirrors and must never freeze or park, so this
+//     path acquires nothing;
 //   IngestPipeline::workers_mu_ (10) -> cells_mu_ (20)
 //     via SetWorkerCount's resize barrier;
 //   Registry::mu_ (60) -> MetricsCollector::series_mu_ (70)
@@ -17,11 +19,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"
@@ -29,23 +32,37 @@
 namespace countlib {
 namespace {
 
-analytics::ConcurrentCounterStore MakeStore(uint64_t stripes = 4) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeStore(uint64_t shards = 4) {
+  return analytics::ShardedCounterStore::Make(
+             shards, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
       .ValueOrDie();
 }
 
-// Registry (60) -> stripe (80): snapshots run the store's gauge callbacks
-// under the registry mutex while writers hammer the stripe locks.
-TEST(LockHierarchyTest, RegistrySnapshotVsStripeWriters) {
+// Registry (60) -> store gauges: snapshots run the sharded store's gauge
+// callbacks under the registry mutex while lane writers write and a reader
+// keeps freezing the store for TopK. The gauges must read only the relaxed
+// per-shard mirrors: a gauge that read a shard's store directly would race
+// the lane writers (TSAN reports it), and one that froze the store would
+// park under the registry lock behind the reader's freezes.
+TEST(LockHierarchyTest, RegistrySnapshotVsLaneWriters) {
   auto store = MakeStore();
-  std::vector<obs::Registration> regs = store.RegisterMetrics();
+  std::vector<obs::Registration> regs = store->RegisterMetrics();
 
   std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    uint64_t key = 0;
+  std::vector<std::thread> writers;
+  for (uint64_t lane = 0; lane < 2; ++lane) {
+    writers.emplace_back([&, lane] {
+      uint64_t key = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const analytics::KeyWeight update{key++ % 64, 1};
+        ASSERT_TRUE(store->IncrementBatch(lane, &update, 1).ok());
+      }
+    });
+  }
+  std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(store.Increment(key++ % 64, 1).ok());
+      ASSERT_TRUE(store->TopK(4).ok());
+      std::this_thread::yield();
     }
   });
   std::thread snapshotter([&] {
@@ -58,12 +75,13 @@ TEST(LockHierarchyTest, RegistrySnapshotVsStripeWriters) {
 
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop.store(true, std::memory_order_relaxed);
-  writer.join();
+  for (auto& t : writers) t.join();
+  reader.join();
   snapshotter.join();
 
   // Handles must release before the store (and this test) go away.
   regs.clear();
-  EXPECT_GT(store.NumKeys(), 0u);
+  EXPECT_GT(store->NumKeys(), 0u);
 }
 
 // workers_mu_ (10) -> cells_mu_ (20): elastic resizes take both in order
@@ -74,7 +92,7 @@ TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
   pipeline::PipelineOptions opt;
   opt.num_producers = 2;
   opt.num_workers = 1;
-  auto pipe = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   std::atomic<bool> stop{false};
   std::thread resizer([&] {

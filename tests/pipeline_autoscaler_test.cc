@@ -10,10 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "pipeline/ingest_pipeline.h"
 
 namespace countlib {
@@ -23,9 +24,9 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-analytics::ConcurrentCounterStore MakeExactStore(uint64_t stripes = 8) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore(uint64_t shards = 8) {
+  return analytics::ShardedCounterStore::Make(
+             shards, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
       .ValueOrDie();
 }
 
@@ -33,7 +34,7 @@ TEST(AutoscalerTest, MakeValidatesConfig) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   EXPECT_TRUE(Autoscaler::Make(nullptr, AutoscalerConfig{})
                   .status()
@@ -112,7 +113,7 @@ TEST(AutoscalerTest, StopIsIdempotentAndSafeAfterDrain) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   AutoscalerConfig config;
   config.sample_interval = milliseconds(5);
   auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
@@ -137,7 +138,7 @@ TEST(AutoscalerTest, StopInterruptsALongSampleParkPromptly) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   AutoscalerConfig config;
   config.sample_interval = std::chrono::seconds(10);
   auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
@@ -163,7 +164,7 @@ TEST(AutoscalerTest, GrowsUnderBurstShrinksWhenIdleLosesNothing) {
   opt.num_workers = 1;
   opt.queue_capacity = 1024;
   opt.max_batch = 16;  // slow drain: backlog builds under the burst
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   AutoscalerConfig config;
   config.min_workers = 1;
@@ -225,7 +226,7 @@ TEST(AutoscalerTest, GrowsUnderBurstShrinksWhenIdleLosesNothing) {
   EXPECT_EQ(stats.events_dropped, 0u);
   double store_total = 0;
   for (uint64_t k = 0; k < 4; ++k) {
-    store_total += store.Estimate(k).ValueOrDie();
+    store_total += store->Estimate(k).ValueOrDie();
   }
   EXPECT_EQ(store_total, static_cast<double>(total_weight.load()));
 }
@@ -239,7 +240,7 @@ TEST(AutoscalerTest, UnpausesAPausedPipelineUnderBacklog) {
   opt.num_producers = 2;
   opt.num_workers = 1;
   opt.queue_capacity = 512;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   for (int i = 0; i < 400; ++i) {
@@ -261,7 +262,7 @@ TEST(AutoscalerTest, UnpausesAPausedPipelineUnderBacklog) {
   }
   EXPECT_GE(pipeline->num_workers(), 1u) << "backlog never un-paused the pool";
   ASSERT_TRUE(pipeline->Flush().ok());
-  EXPECT_EQ(store.Estimate(3).ValueOrDie(), 400.0);
+  EXPECT_EQ(store->Estimate(3).ValueOrDie(), 400.0);
   scaler->Stop();
   ASSERT_TRUE(pipeline->Drain().ok());
 }
@@ -275,7 +276,7 @@ TEST(AutoscalerTest, HysteresisRequiresConsecutiveVotes) {
   opt.num_producers = 2;
   opt.num_workers = 1;
   opt.queue_capacity = 256;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // A backlog right at the up threshold, frozen by pausing the pipeline.
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
