@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "analytics/sharded_counter_store.h"
+#include "analytics/store_interface.h"
 #include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 
@@ -31,6 +33,26 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore(uint64_t shards =
              shards, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
       .ValueOrDie();
 }
+
+// Forwards every batch to `inner` after a short sleep, so a drain's pace is
+// set by the test rather than by how fast the store happens to be.
+class SlowWriter : public analytics::CounterWriter {
+ public:
+  SlowWriter(analytics::CounterWriter* inner, std::chrono::microseconds delay)
+      : inner_(inner), delay_(delay) {}
+
+  uint64_t num_lanes() const override { return inner_->num_lanes(); }
+
+  Status IncrementBatch(uint64_t lane, const analytics::KeyWeight* updates,
+                        size_t n) override {
+    std::this_thread::sleep_for(delay_);
+    return inner_->IncrementBatch(lane, updates, n);
+  }
+
+ private:
+  analytics::CounterWriter* inner_;
+  std::chrono::microseconds delay_;
+};
 
 TEST(SpillBufferTest, PushPopRoundTripPreservesOrderAndCounts) {
   SpillBuffer spill(8);
@@ -360,14 +382,19 @@ TEST(OverloadPolicyTest, SpillStressWithResizesLosesNothing) {
 // alone past one worker, requires spill depth in the vote.
 TEST(OverloadPolicyTest, AutoscalerGrowsOnSpillPressure) {
   auto store = MakeExactStore();
+  // Slow drain so the pressure persists past the first resize's cooldown:
+  // each batch of at most 8 events costs 100us, so one worker needs
+  // at least 0.75 s for the backlog — far longer than the 15 ms the second
+  // grow vote needs — however fast the store itself is.
+  SlowWriter slow(store.get(), std::chrono::microseconds(100));
   PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 1;
   opt.queue_capacity = 16;  // total ring capacity 64 << the up threshold
-  opt.max_batch = 8;        // slow drain so the pressure persists
+  opt.max_batch = 8;
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 1 << 16;
-  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(&slow, opt).ValueOrDie();
 
   // Freeze the rings and pile the backlog into the spill buffer.
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
