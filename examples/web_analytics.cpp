@@ -64,7 +64,10 @@ int main(int argc, char** argv) {
   std::printf("\ncounter state: %.1f KiB packed (%d bits/page) vs %.1f KiB "
               "for naive uint64 counters — %.1fx smaller\n",
               approx_kib, store.bits_per_key(), naive_kib, naive_kib / approx_kib);
-  std::printf("(the key->slot index costs ~%.0f bits/page for either design)\n",
-              store.IndexBitsPerKey());
+  std::printf("(the hash table adds %.0f bits/page for the 64-bit key and the "
+              "empty buckets, measured from its allocation: %.0f bits/page "
+              "in all)\n",
+              store.IndexBitsPerKey(),
+              store.IndexBitsPerKey() + store.bits_per_key());
   return 0;
 }

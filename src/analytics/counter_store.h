@@ -4,17 +4,21 @@
 /// ("the number of visits to each page on Wikipedia"), where shaving bits
 /// per counter is the whole game.
 ///
-/// `CounterStore` keeps per-key counter *state* bit-packed in a dense pool:
-/// each key owns exactly `StateBits()` bits (the provisioned program state
-/// of the chosen algorithm — e.g. 18 bits for a sampling counter at
-/// ε=10%, δ=1%, n_max=2^24, vs 64 for a naive machine counter). Updates
-/// deserialize the slot into a scratch counter, apply the increment, and
-/// serialize back — mirroring the paper's model where O(log N)-bit scratch
+/// `CounterStore` is one open-addressing hash table. Each bucket holds a
+/// 64-bit key followed by exactly `StateBits()` bits of counter state (the
+/// provisioned program state of the chosen algorithm — e.g. 18 bits for a
+/// sampling counter at ε=10%, δ=1%, n_max=2^24, vs 64 for a naive machine
+/// counter), and buckets are bit-packed back to back at 64+StateBits()
+/// bits in a word array. An update is one probe, one word-level extract of
+/// the state into a scratch counter (`Counter::UnpackState`), the
+/// increment, and one word-level deposit (`Counter::PackState`) —
+/// mirroring the paper's model (Remark 2.2) where O(log N)-bit scratch
 /// registers are free but *stored* state is precious.
 ///
-/// The key→slot index is kept separately and its memory is reported
-/// separately: it is the same for any counter algorithm and so cancels in
-/// comparisons.
+/// The table doubles when its load would pass 7/8, and `IndexBitsPerKey()`
+/// reports what the keys and the empty buckets cost beyond the state bits,
+/// measured from the table's allocation. Every counter the store hosts
+/// must pack into one word: `StateBits() > 64` is rejected at construction.
 
 #ifndef COUNTLIB_ANALYTICS_COUNTER_STORE_H_
 #define COUNTLIB_ANALYTICS_COUNTER_STORE_H_
@@ -23,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/counter.h"
@@ -46,7 +49,7 @@ struct KeyEstimate {
   double estimate;
 };
 
-/// \brief Bit-packed pool of many per-key approximate counters.
+/// \brief Bit-packed hash table of many per-key approximate counters.
 class CounterStore {
  public:
   /// Builds a store whose per-key counters are `kind` calibrated to
@@ -58,6 +61,7 @@ class CounterStore {
   /// Builds a store whose per-key counters achieve the accuracy target.
   /// Pass δ ≪ 1/expected_keys so all counters are simultaneously correct
   /// with high probability (the paper's δ ≪ 1/M discussion).
+  /// InvalidArgument when the calibration needs more than 64 state bits.
   static Result<CounterStore> MakeWithAccuracy(CounterKind kind, const Accuracy& acc,
                                                uint64_t seed);
 
@@ -65,8 +69,8 @@ class CounterStore {
   Status Increment(uint64_t key, uint64_t weight = 1);
 
   /// Applies `n` updates in one pass. Callers that pre-aggregate duplicate
-  /// keys (the ingestion pipeline does) pay one packed-slot
-  /// deserialize/serialize per *distinct* key instead of per event.
+  /// keys (the ingestion pipeline does) pay one bucket unpack/pack per
+  /// *distinct* key instead of per event.
   /// Stops at the first error; already-applied updates stay applied.
   Status IncrementBatch(const KeyWeight* updates, size_t n);
 
@@ -85,71 +89,98 @@ class CounterStore {
   /// per-key counter is distributed exactly as one counter over the
   /// concatenated per-key streams). Both stores must be identically
   /// configured — the stride is checked, the algorithm is the caller's
-  /// contract (as with LoadFromFile). Keys new to this store are copied
-  /// bit-for-bit; keys present in both are merged via `Counter::MergeFrom`.
+  /// contract (as with LoadFromFile). Keys new to this store take the
+  /// donor's state word as is; keys present in both are merged via
+  /// `Counter::MergeFrom`.
   /// Stops at the first error; already-merged keys stay merged.
   Status MergeFrom(const CounterStore& donor);
 
   /// Invokes `fn(key, estimate)` for every key in the store, decoding each
-  /// packed slot once. Iteration order is unspecified.
+  /// bucket once. Iteration order is unspecified.
   Status ForEach(const std::function<void(uint64_t, double)>& fn) const;
 
   /// Number of distinct keys.
-  uint64_t num_keys() const { return index_.size(); }
+  uint64_t num_keys() const { return num_keys_; }
 
-  /// Bits of counter state per key (the pool stride).
+  /// Bits of counter state per key (the bucket's state field).
   int bits_per_key() const { return stride_bits_; }
 
   /// Total bits of packed counter state (stride * keys).
   uint64_t TotalStateBits() const {
-    return static_cast<uint64_t>(stride_bits_) * index_.size();
+    return static_cast<uint64_t>(stride_bits_) * num_keys_;
   }
 
-  /// Approximate bits of index overhead per key (hash-map bookkeeping;
-  /// algorithm-independent).
+  /// Bits per key the table holds beyond the counter state: the stored
+  /// key plus the share of empty buckets, measured from the table's
+  /// allocation as (table bits - keys * stride) / keys. 0 when empty.
   double IndexBitsPerKey() const;
 
   /// The algorithm's display name.
   std::string AlgorithmName() const { return scratch_->Name(); }
 
-  /// Persists the store (key index + packed counter pool) to a binary
-  /// file. The counter algorithm and calibration are NOT stored — the
-  /// loader must construct a store with identical parameters first (they
-  /// are program constants in the paper's model); a stride checksum guards
-  /// against mismatches.
+  /// Persists the store to a binary file (format `clstore1`: the keys with
+  /// dense slot numbers, then the states packed at the stride). The
+  /// counter algorithm and calibration are NOT stored — the loader must
+  /// construct a store with identical parameters first (they are program
+  /// constants in the paper's model); a stride checksum guards against
+  /// mismatches.
   Status SaveToFile(const std::string& path) const;
 
   /// Restores a store previously saved with `SaveToFile` into this
-  /// (identically-configured) store, replacing its contents.
+  /// (identically-configured) store, replacing its contents. Every state
+  /// is validated (`Counter::UnpackState`) before anything is replaced, so
+  /// a failed load leaves the store as it was.
   Status LoadFromFile(const std::string& path);
 
  private:
-  CounterStore(std::unique_ptr<Counter> scratch, std::vector<uint8_t> zero_state,
-               int stride_bits)
-      : scratch_(std::move(scratch)),
-        zero_state_(std::move(zero_state)),
-        stride_bits_(stride_bits) {}
+  CounterStore(std::unique_ptr<Counter> scratch, int stride_bits);
 
   static Result<CounterStore> FromScratchCounter(std::unique_ptr<Counter> scratch);
 
-  /// Decodes slot bits into `into` (any identically-configured counter).
-  Status LoadSlotInto(uint64_t slot, Counter* into) const;
-  /// Loads slot bits into the scratch counter.
-  Status LoadSlot(uint64_t slot) const;
-  /// Stores the scratch counter's state back into the slot.
-  Status StoreSlot(uint64_t slot);
+  /// Bucket index of `key`, `kAbsent` if the store does not hold it, or
+  /// `kEmptyKeyBucket` for the one key equal to the empty marker.
+  uint64_t Find(uint64_t key) const;
+  /// Like `Find`, but inserts `key` with `state` when absent (growing the
+  /// table first if needed). `*inserted` reports which happened.
+  uint64_t FindOrInsert(uint64_t key, uint64_t state, bool* inserted);
+  /// Probes from `key`'s home bucket to the bucket holding it or to the
+  /// first empty one. Requires `key != kEmptyKey`.
+  uint64_t Probe(uint64_t key) const;
+  uint64_t KeyAt(uint64_t bucket) const;
+  uint64_t StateAt(uint64_t bucket) const;
+  void SetState(uint64_t bucket, uint64_t state);
+  /// Replaces the table with `capacity` empty buckets (keys are dropped;
+  /// the empty-marker bucket is left alone).
+  void InitTable(uint64_t capacity);
+  /// Grows the table, rehashing once, until `keys` fit under the load cap.
+  void Reserve(uint64_t keys);
+  /// Calls `fn(key, state)` for every held key, the empty-marker key
+  /// included; stops at the first non-OK status.
+  template <typename Fn>
+  Status ForEachKeyState(Fn&& fn) const;
+  /// Decodes `state` into the scratch counter and returns its estimate.
+  Result<double> EstimateOf(uint64_t state) const;
 
-  Result<uint64_t> GetOrCreateSlot(uint64_t key);
+  static constexpr uint64_t kEmptyKey = 0;
+  static constexpr uint64_t kAbsent = ~uint64_t{0};
+  static constexpr uint64_t kEmptyKeyBucket = kAbsent - 1;
 
-  std::unique_ptr<Counter> scratch_;
-  // Slot decode buffer, reused by LoadSlot under the same
-  // single-caller-at-a-time contract scratch_ already relies on.
-  mutable std::vector<uint8_t> slot_buf_;
-  std::vector<uint8_t> zero_state_;  // serialized fresh state (stride bits)
-  int stride_bits_;
-  std::vector<uint8_t> pool_;        // bit-packed states, stride per slot
-  uint64_t num_slots_ = 0;
-  std::unordered_map<uint64_t, uint64_t> index_;  // key -> slot
+  std::unique_ptr<Counter> scratch_;  // decode/encode scratch (Remark 2.2)
+  int stride_bits_;                   // StateBits(): the state field width
+  int bucket_bits_;                   // 64 + stride_bits_
+  uint64_t fresh_state_ = 0;          // PackState() of a reset counter
+  // capacity_ buckets packed back to back at bucket_bits_ each (the key
+  // field, then the state field), then one pad word. A bucket whose key is
+  // kEmptyKey is empty, and its state field is zero.
+  std::vector<uint64_t> table_;
+  uint64_t capacity_ = 0;  // buckets; a power of two
+  int hash_shift_ = 0;     // 64 - log2(capacity_)
+  uint64_t table_keys_ = 0;
+  uint64_t num_keys_ = 0;  // table_keys_ plus the empty-marker key if held
+  // The key equal to kEmptyKey cannot live in the table; its bucket sits
+  // here.
+  bool has_empty_key_ = false;
+  uint64_t empty_key_state_ = 0;
 };
 
 }  // namespace analytics

@@ -31,7 +31,7 @@
 /// ## The freeze protocol (reads)
 ///
 /// A snapshot read must not run concurrently with a shard mutation (the
-/// packed pools are plain memory). The reader:
+/// packed tables are plain memory). The reader:
 ///
 ///  1. acquires the freeze token: CAS `freeze_` false→true (readers
 ///     serialize here; writers are untouched),

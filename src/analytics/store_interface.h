@@ -32,7 +32,7 @@ namespace analytics {
 /// \brief Monotonic ingest counters for a concurrent store — the
 /// store-side half of the pipeline's observability surface (the pipeline's
 /// `PipelineStats` counts what reached the queues; this counts what reached
-/// the packed slots). Taken with `CounterReader::Stats`.
+/// the packed tables). Taken with `CounterReader::Stats`.
 struct StoreStats {
   uint64_t batch_calls = 0;    ///< IncrementBatch invocations with n > 0
   /// Key-weight updates applied through fully successful batches. A batch
@@ -104,7 +104,7 @@ class CounterWriter {
 
   /// Applies `n` updates through `lane` in one pass — the one write entry
   /// point. Callers that pre-aggregate duplicate keys (the ingestion
-  /// pipeline does) pay one packed-slot rewrite per *distinct* key. Stops
+  /// pipeline does) pay one bucket rewrite per *distinct* key. Stops
   /// at the first error; already-applied updates stay applied.
   virtual Status IncrementBatch(uint64_t lane, const KeyWeight* updates,
                                 size_t n) = 0;

@@ -69,6 +69,35 @@ class Counter {
   /// Restores program state previously written by `SerializeState`.
   virtual Status DeserializeState(BitReader* in) = 0;
 
+  /// The program state as one word, in the `SerializeState` bit layout
+  /// (the first-written field in the low bits, nothing above
+  /// `StateBits()`). Requires `StateBits() <= 64`. The default goes
+  /// through `SerializeState`; the kinds a packed store hosts at speed
+  /// override it with direct field arithmetic.
+  virtual uint64_t PackState() const {
+    BitWriter out;
+    (void)SerializeState(&out);
+    uint64_t word = 0;
+    for (size_t i = 0; i < out.bytes().size() && i < 8; ++i) {
+      word |= static_cast<uint64_t>(out.bytes()[i]) << (8 * i);
+    }
+    return word;
+  }
+
+  /// Restores program state from the low `StateBits()` bits of `word`
+  /// (higher bits are ignored), with the same range checks as
+  /// `DeserializeState`. `kInvalidArgument` when `StateBits() > 64`.
+  virtual Status UnpackState(uint64_t word) {
+    const int bits = StateBits();
+    if (bits > 64) {
+      return Status::InvalidArgument(Name() + ": state wider than 64 bits");
+    }
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(word >> (8 * i));
+    BitReader in(bytes, static_cast<size_t>(bits));
+    return DeserializeState(&in);
+  }
+
   /// Merges `donor`'s state into this counter. Per Remark 2.4 the merged
   /// state is distributed exactly as a single counter over the
   /// concatenation of both streams — nothing is lost in (ε, δ) — which is

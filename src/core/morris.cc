@@ -34,7 +34,7 @@ void MorrisCounter::Reset() {
 }
 
 double MorrisCounter::LevelProbability(uint64_t x) const {
-  return std::exp(-static_cast<double>(x) * std::log1p(params_.a));
+  return std::exp(-static_cast<double>(x) * log1p_a_);
 }
 
 void MorrisCounter::Increment() {
@@ -78,12 +78,17 @@ void MorrisCounter::SetLevelForMerge(uint64_t x) {
 }
 
 Status MorrisCounter::SerializeState(BitWriter* out) const {
-  out->WriteBits(x_, params_.XBits());
+  out->WriteBits(PackState(), params_.XBits());
   return Status::OK();
 }
 
 Status MorrisCounter::DeserializeState(BitReader* in) {
-  COUNTLIB_ASSIGN_OR_RETURN(uint64_t x, in->ReadBits(params_.XBits()));
+  COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.XBits()));
+  return UnpackState(word);
+}
+
+Status MorrisCounter::UnpackState(uint64_t word) {
+  const uint64_t x = word & LowBitsMask(params_.XBits());
   if (x > params_.x_cap) {
     return Status::InvalidArgument("Morris state exceeds x_cap");
   }

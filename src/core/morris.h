@@ -18,6 +18,7 @@
 #ifndef COUNTLIB_CORE_MORRIS_H_
 #define COUNTLIB_CORE_MORRIS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -48,6 +49,8 @@ class MorrisCounter : public Counter {
   std::string Name() const override { return params_.ToString(); }
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
+  uint64_t PackState() const override { return x_; }
+  Status UnpackState(uint64_t word) override;
   Status MergeFrom(const Counter& donor) override;
 
   /// The level register X (exposed for experiments and exact-law checks).
@@ -70,9 +73,12 @@ class MorrisCounter : public Counter {
 
  private:
   MorrisCounter(const MorrisParams& params, uint64_t seed)
-      : params_(params), rng_(seed) {}
+      : params_(params), log1p_a_(std::log1p(params.a)), rng_(seed) {}
 
   MorrisParams params_;
+  // log(1+a), the per-level exponent of LevelProbability; a is fixed at
+  // construction, so it is computed once instead of on every level change.
+  double log1p_a_;
   Rng rng_;
   uint64_t x_ = 0;
   bool saturated_ = false;

@@ -49,6 +49,11 @@ class SamplingCounter : public Counter {
   std::string Name() const override { return params_.ToString(); }
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
+  /// Y in the low `YBits()` bits, t above it.
+  uint64_t PackState() const override {
+    return y_ | (static_cast<uint64_t>(t_) << params_.YBits());
+  }
+  Status UnpackState(uint64_t word) override;
   Status MergeFrom(const Counter& donor) override;
 
   uint64_t y() const { return y_; }

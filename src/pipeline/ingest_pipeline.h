@@ -7,8 +7,8 @@
 /// `TrySubmit` that reports `kPending` backpressure (the FASTER-style
 /// OK/Pending status model) instead of ever blocking the write path on a
 /// store lock. Background workers drain the queues, **pre-aggregate
-/// duplicate keys within each batch** — one packed-slot
-/// deserialize/serialize per *distinct* key instead of per event, which is
+/// duplicate keys within each batch** — one bucket unpack/pack per
+/// *distinct* key instead of per event, which is
 /// exactly where the store's cycles go under a Zipfian workload — and apply
 /// the result through `CounterWriter::IncrementBatch(lane, ...)`.
 ///

@@ -4,8 +4,8 @@
 ///
 /// The whole point of the paper is counting *bits* of state; this module is
 /// the substrate that lets counters serialize to (and report) exact bit
-/// footprints, and lets `analytics::CounterStore` pack millions of counters
-/// into a dense pool.
+/// footprints; `SerializeState` is also the layout of the state words
+/// `analytics::CounterStore` packs and persists.
 ///
 /// Bit order: within the stream, bits are appended LSB-first into bytes.
 

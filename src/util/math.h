@@ -33,6 +33,11 @@ int CeilLog2(uint64_t x);
 /// \brief Number of bits needed to store values in `[0, x]` (>= 1).
 int BitWidth(uint64_t x);
 
+/// \brief The low `width` bits set, for `width` in [0, 64].
+inline uint64_t LowBitsMask(int width) {
+  return width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+}
+
 /// \brief `ceil(x / y)` for positive integers without overflow on the sum.
 uint64_t CeilDiv(uint64_t x, uint64_t y);
 

@@ -157,6 +157,31 @@ TEST_F(PersistenceTest, DuplicateSlotRejectedAndStateUnharmed) {
   EXPECT_TRUE(victim.Estimate(10).status().IsNotFound());
 }
 
+TEST_F(PersistenceTest, OutOfRangeStateRejectedAndStateUnharmed) {
+  // An accuracy-calibrated exact counter for n <= 1000 holds 10 bits, so
+  // a 10-bit slot can carry 1001..1023, which no counter reaches.
+  const Accuracy acc{0.1, 0.01, 1000};
+  auto victim =
+      analytics::CounterStore::MakeWithAccuracy(CounterKind::kExact, acc, 1)
+          .ValueOrDie();
+  ASSERT_EQ(victim.bits_per_key(), 10);
+  ASSERT_TRUE(victim.Increment(7, 123).ok());
+  // Keys 10 and 20 in slots 0 and 1 of a 20-bit pool (3 bytes): 1000 is
+  // the cap and loads; 1023 is past it.
+  WriteWords(kPath, {Magic(), 10, 2, 2, 10, 0, 20, 1, 3, 1000 | (1000u << 10)});
+  auto control =
+      analytics::CounterStore::MakeWithAccuracy(CounterKind::kExact, acc, 2)
+          .ValueOrDie();
+  ASSERT_TRUE(control.LoadFromFile(kPath).ok());
+  EXPECT_DOUBLE_EQ(control.Estimate(20).ValueOrDie(), 1000.0);
+
+  WriteWords(kPath, {Magic(), 10, 2, 2, 10, 0, 20, 1, 3, 1000 | (1023u << 10)});
+  EXPECT_TRUE(victim.LoadFromFile(kPath).IsInvalidArgument());
+  EXPECT_EQ(victim.num_keys(), 1u);
+  EXPECT_DOUBLE_EQ(victim.Estimate(7).ValueOrDie(), 123.0);
+  EXPECT_TRUE(victim.Estimate(10).status().IsNotFound());
+}
+
 TEST_F(PersistenceTest, ExactKindRoundTripsExactly) {
   auto store = analytics::CounterStore::MakeWithBitBudget(CounterKind::kExact, 20,
                                                           (1u << 20) - 1, 1)

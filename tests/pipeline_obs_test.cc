@@ -202,7 +202,14 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
             kThreads * kPerThread);
   EXPECT_EQ(snap.counters.at("countlib_pipeline_events_applied_total"),
             kThreads * kPerThread);
-  // The collector sampled the invariant gauges into time series too.
+  // The collector sampled the invariant gauges into time series too. It
+  // samples every 5 ms, and the stress run can finish sooner than that, so
+  // wait for its first sample: what is checked is that gauges reach the
+  // series, not how long the run took.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (collector->samples() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   collector->Stop();
   const auto series = collector->Series();
   EXPECT_TRUE(series.count("countlib_pipeline_queue_depth"));
