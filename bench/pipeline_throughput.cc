@@ -48,12 +48,13 @@
 ///    are asserted exact on every pipeline run: nothing shed under
 ///    kBlock, applied == submitted, and the merged store total equals the
 ///    trace's total weight — Remark 2.4's exactness, end to end.
-///  - **overload**: the shed/spill policies against a paused pipeline.
+///  - **overload**: the block/shed policies against a paused pipeline.
 ///    Shed mode blasts a frozen ring and must balance its books exactly —
 ///    `delivered + shed == submitted`, asserted, with the shed Submit
-///    rate showing the bounded-latency drop cost. Spill mode overflows
-///    the ring into the spill buffer and must lose *nothing* across the
-///    pause/resume (asserted via exact store totals).
+///    rate showing the bounded-latency drop cost. Block mode gives the
+///    burst a ring big enough to hold it and must deliver every event
+///    across the pause/resume without shedding or parking the producer
+///    (all asserted).
 ///
 /// Emits a human table plus one machine-readable JSON document (stdout,
 /// and `--json_out=FILE`, default `BENCH_pipeline_throughput.json` in the
@@ -75,8 +76,8 @@
 /// wake_latency_s}`, `autoscale {events, burst_seconds, events_per_sec,
 /// peak_workers, final_workers, scale_ups, scale_downs, samples,
 /// lost_events}`, `overload {shed {attempts, delivered, shed,
-/// unaccounted_events, submits_per_sec}, spill {attempts, delivered,
-/// peak_spill_depth, lost_events}}`, `observability {events,
+/// unaccounted_events, submits_per_sec}, block {attempts, delivered, shed,
+/// producer_parks, peak_queue_depth, lost_events}}`, `observability {events,
 /// uninstrumented_events_per_sec, instrumented_events_per_sec,
 /// overhead_pct, record_attempts, record_allocs, latency_samples,
 /// latency_p50_ns, latency_p99_ns, latency_max_ns, series_points}`.
@@ -195,11 +196,13 @@ struct OverloadResult {
   uint64_t shed_shed;
   uint64_t shed_unaccounted;     // attempts - delivered - shed (must stay 0)
   double shed_submits_per_sec;   // Submit rate while the ring is frozen full
-  // Spill phase: nothing may be lost.
-  uint64_t spill_attempts;
-  uint64_t spill_delivered;
-  uint64_t spill_peak_depth;
-  uint64_t spill_lost_events;    // attempts - delivered (must stay 0)
+  // Block phase: nothing may be lost, shed, or parked on.
+  uint64_t block_attempts;
+  uint64_t block_delivered;
+  uint64_t block_shed;
+  uint64_t block_producer_parks;
+  uint64_t block_peak_depth;
+  uint64_t block_lost_events;    // attempts - delivered (must stay 0)
 };
 
 double Now() {
@@ -557,8 +560,9 @@ AutoscaleResult RunAutoscale(double burst_seconds) {
 
 /// The overload policies against a paused pipeline (the hard overload
 /// case: zero drain progress). Shed mode must keep Submit non-blocking
-/// and balance delivered + shed == submitted to the last event; spill
-/// mode must deliver every single event once resumed. Both invariants are
+/// and balance delivered + shed == submitted to the last event; block
+/// mode, with a ring sized for the burst, must take every event without
+/// parking and deliver every single one once resumed. Both invariants are
 /// asserted here, not just reported.
 OverloadResult RunOverload() {
   OverloadResult r{};
@@ -595,33 +599,36 @@ OverloadResult RunOverload() {
     COUNTLIB_CHECK_GT(r.shed_shed, uint64_t{0});
   }
   {
-    // Spill phase.
+    // Block phase: the burst is held by the ring itself, sized 2^16 events
+    // so the whole 50000-event burst fits while no worker drains.
     auto store = MakeStore(1, 1u << 20);
     pipeline::PipelineOptions opt;
     opt.num_producers = 1;
     opt.num_workers = 1;
-    opt.queue_capacity = 1024;
+    opt.queue_capacity = 1u << 16;
     opt.max_batch = 2048;
-    opt.overload.policy = pipeline::OverloadPolicy::kSpill;
-    opt.overload.spill_capacity = 1u << 16;
+    opt.overload.policy = pipeline::OverloadPolicy::kBlock;
     auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
-    constexpr uint64_t kAttempts = 50000;  // ring 1024 + ~49k spilled
+    constexpr uint64_t kAttempts = 50000;  // all of it fits in the ring
     for (uint64_t i = 0; i < kAttempts; ++i) {
       COUNTLIB_CHECK_OK(ingest->Submit(0, /*key=*/i & 63, 1));
     }
-    r.spill_peak_depth = ingest->Stats().spill_depth;
+    r.block_peak_depth = ingest->Stats().queue_depth;
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
     COUNTLIB_CHECK_OK(ingest->Drain());
     const pipeline::PipelineStats stats = ingest->Stats();
-    r.spill_attempts = kAttempts;
-    r.spill_delivered = stats.events_applied;
-    r.spill_lost_events = kAttempts - stats.events_applied;
-    // Spill mode loses nothing, and the overflow genuinely went through
-    // the spill buffer (not the rings).
-    COUNTLIB_CHECK_EQ(r.spill_lost_events, uint64_t{0});
-    COUNTLIB_CHECK_EQ(stats.events_shed, uint64_t{0});
-    COUNTLIB_CHECK_GT(r.spill_peak_depth, uint64_t{0});
+    r.block_attempts = kAttempts;
+    r.block_delivered = stats.events_applied;
+    r.block_shed = stats.events_shed;
+    r.block_producer_parks = stats.producer_parks;
+    r.block_lost_events = kAttempts - stats.events_applied;
+    // The ring held the whole burst: nothing lost, shed, or parked on.
+    COUNTLIB_CHECK_EQ(r.block_delivered, kAttempts);
+    COUNTLIB_CHECK_EQ(r.block_lost_events, uint64_t{0});
+    COUNTLIB_CHECK_EQ(r.block_shed, uint64_t{0});
+    COUNTLIB_CHECK_EQ(r.block_producer_parks, uint64_t{0});
+    COUNTLIB_CHECK_EQ(r.block_peak_depth, kAttempts);
   }
   return r;
 }
@@ -1102,17 +1109,20 @@ std::string ToJson(const std::vector<RunResult>& results,
       buf, sizeof(buf),
       ",\"overload\":{\"shed\":{\"attempts\":%llu,\"delivered\":%llu,"
       "\"shed\":%llu,\"unaccounted_events\":%llu,\"submits_per_sec\":%.1f},"
-      "\"spill\":{\"attempts\":%llu,\"delivered\":%llu,"
-      "\"peak_spill_depth\":%llu,\"lost_events\":%llu}}",
+      "\"block\":{\"attempts\":%llu,\"delivered\":%llu,\"shed\":%llu,"
+      "\"producer_parks\":%llu,\"peak_queue_depth\":%llu,"
+      "\"lost_events\":%llu}}",
       static_cast<unsigned long long>(overload.shed_attempts),
       static_cast<unsigned long long>(overload.shed_delivered),
       static_cast<unsigned long long>(overload.shed_shed),
       static_cast<unsigned long long>(overload.shed_unaccounted),
       overload.shed_submits_per_sec,
-      static_cast<unsigned long long>(overload.spill_attempts),
-      static_cast<unsigned long long>(overload.spill_delivered),
-      static_cast<unsigned long long>(overload.spill_peak_depth),
-      static_cast<unsigned long long>(overload.spill_lost_events));
+      static_cast<unsigned long long>(overload.block_attempts),
+      static_cast<unsigned long long>(overload.block_delivered),
+      static_cast<unsigned long long>(overload.block_shed),
+      static_cast<unsigned long long>(overload.block_producer_parks),
+      static_cast<unsigned long long>(overload.block_peak_depth),
+      static_cast<unsigned long long>(overload.block_lost_events));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -1283,16 +1293,18 @@ int Main(int argc, const char* const* argv) {
   const OverloadResult overload = RunOverload();
   std::printf(
       "# overload: shed %llu attempts -> %llu delivered + %llu shed "
-      "(balanced, %.1fM submits/s frozen); spill %llu attempts -> "
-      "%llu delivered, peak depth %llu, %llu lost\n",
+      "(balanced, %.1fM submits/s frozen); block %llu attempts -> "
+      "%llu delivered, %llu shed, %llu parks, peak depth %llu, %llu lost\n",
       static_cast<unsigned long long>(overload.shed_attempts),
       static_cast<unsigned long long>(overload.shed_delivered),
       static_cast<unsigned long long>(overload.shed_shed),
       overload.shed_submits_per_sec / 1e6,
-      static_cast<unsigned long long>(overload.spill_attempts),
-      static_cast<unsigned long long>(overload.spill_delivered),
-      static_cast<unsigned long long>(overload.spill_peak_depth),
-      static_cast<unsigned long long>(overload.spill_lost_events));
+      static_cast<unsigned long long>(overload.block_attempts),
+      static_cast<unsigned long long>(overload.block_delivered),
+      static_cast<unsigned long long>(overload.block_shed),
+      static_cast<unsigned long long>(overload.block_producer_parks),
+      static_cast<unsigned long long>(overload.block_peak_depth),
+      static_cast<unsigned long long>(overload.block_lost_events));
 
   const ObservabilityResult obs = RunObservability(
       Partition(trace.events(), 1), events, flags.GetUint64("queue_capacity"),

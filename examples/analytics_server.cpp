@@ -23,7 +23,7 @@
 ///
 ///   ./build/example_analytics_server [--port=N] [--bind=ADDR]
 ///       [--slots=N] [--queue_capacity=N] [--workers=N] [--shards=N]
-///       [--overload=block|shed|spill] [--run_seconds=N]
+///       [--overload=block|shed] [--run_seconds=N]
 ///       [--metrics_out=FILE]
 
 #include <algorithm>
@@ -50,7 +50,6 @@ namespace {
 countlib::pipeline::OverloadPolicy ParsePolicy(const std::string& name) {
   using countlib::pipeline::OverloadPolicy;
   if (name == "shed") return OverloadPolicy::kShed;
-  if (name == "spill") return OverloadPolicy::kSpill;
   COUNTLIB_CHECK(name == "block") << "unknown --overload policy: " << name;
   return OverloadPolicy::kBlock;
 }
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
   flags.AddUint64("shards", 0,
                   "private store shards (0 = one per drain worker); the "
                   "pipeline clamps the worker pool to this many lanes");
-  flags.AddString("overload", "block", "block|shed|spill");
+  flags.AddString("overload", "block", "block|shed");
   flags.AddUint64("run_seconds", 30, "serve this long, then drain and exit");
   flags.AddString("metrics_out", "", "final Prometheus dump path (optional)");
   COUNTLIB_CHECK_OK(flags.Parse(argc, argv));

@@ -15,14 +15,14 @@
 ///
 /// Submission credits (src/net/credit.h) extend the pipeline's overload
 /// policies to remote producers. The handshake grants an initial window
-/// sized from live pipeline headroom (per-slot ring headroom + spill
-/// headroom, capped by `ServerOptions::max_credit_window`); each ack
-/// piggybacks a refill toward the current target. A backed-up pipeline
-/// shrinks the window to the liveness floor of 1, so clients park on
-/// their last credit instead of flooding the server — there is no
-/// unbounded server-side buffering anywhere: each connection holds
-/// exactly one frame buffer and submits it fully before reading the next
-/// frame.
+/// sized from the free space in the connection's own ring (capped by
+/// `ServerOptions::max_credit_window`); each ack piggybacks a refill
+/// toward the current target. A backed-up ring shrinks the window to the
+/// liveness floor of 1, so clients park on their last credit instead of
+/// flooding the server — there is no unbounded server-side buffering
+/// anywhere: each connection holds exactly one frame buffer and submits
+/// it fully before reading the next frame. A credit therefore promises
+/// space in that connection's ring and nowhere else.
 ///
 /// ## Books
 ///
@@ -99,7 +99,7 @@ struct ServerStats {
   uint64_t bytes_rx = 0;
   uint64_t bytes_tx = 0;
   uint64_t events_rx = 0;         ///< events in decoded complete frames
-  uint64_t events_delivered = 0;  ///< accepted by the pipeline (or spilled)
+  uint64_t events_delivered = 0;  ///< accepted by the pipeline
   uint64_t events_shed = 0;       ///< shed by the pipeline's kShed policy
   uint64_t decode_errors = 0;     ///< malformed frames and protocol violations
   uint64_t partial_frames = 0;    ///< connections dropped mid-frame
@@ -167,8 +167,8 @@ class EventServer {
   /// Encodes and sends a header+body frame, counting tx traffic.
   Status SendFrame(int fd, FrameType type, uint64_t seq, const uint8_t* body,
                    uint64_t body_len, uint8_t* scratch);
-  /// Current credit target for `slot` from live pipeline headroom; counts
-  /// a credit stall when headroom is exhausted.
+  /// Current credit target for `slot` from the free space in its ring;
+  /// counts a credit stall when the ring is full.
   uint64_t CreditTargetForSlot(uint64_t slot, uint64_t effective_window);
 
   pipeline::IngestPipeline* pipeline_;

@@ -6,10 +6,10 @@
 /// The §1 motivating system ("count visits to every Wikipedia page under
 /// production write traffic") needs an ingest path between the producers
 /// and the bit-packed analytics stores; `src/pipeline/` provides it. An
-/// `Event` (see event_type.h) carries one `analytics::KeyWeight` update
-/// plus an optional coarse submit timestamp for latency telemetry; the
-/// drain path pre-aggregates events into `KeyWeight` batches before the
-/// store apply, so the timestamp never reaches the store.
+/// `Event` carries one `analytics::KeyWeight` update plus an optional
+/// coarse submit timestamp for latency telemetry; the drain path
+/// pre-aggregates events into `KeyWeight` batches before the store apply,
+/// so the timestamp never reaches the store.
 
 #ifndef COUNTLIB_PIPELINE_EVENT_H_
 #define COUNTLIB_PIPELINE_EVENT_H_
@@ -18,11 +18,26 @@
 #include <vector>
 
 #include "analytics/counter_store.h"
-#include "pipeline/event_type.h"
 #include "pipeline/overload.h"
 
 namespace countlib {
 namespace pipeline {
+
+/// \brief One ingestion event: `weight` increments to `key`, stamped with
+/// a coarse submit time when latency telemetry is on.
+///
+/// The timestamp exists for the telemetry layer: when a `MetricsCollector`
+/// is ticking the `obs::CoarseClock` and the pipeline was built with
+/// `enable_metrics`, a sampled subset of submits stamp `ts` and the
+/// draining worker records submit→apply latency when it applies them.
+struct Event {
+  uint64_t key = 0;
+  uint64_t weight = 0;
+  /// Coarse submit timestamp (`obs::CoarseClock::NowNanos()`), or 0 when
+  /// the event is not latency-sampled (no collector running, or the event
+  /// was not in the sample). Never persisted past the drain.
+  uint64_t ts = 0;
+};
 
 /// \brief Tuning knobs for `IngestPipeline::Make`.
 struct PipelineOptions {
@@ -45,8 +60,7 @@ struct PipelineOptions {
   /// = lower wake latency under bursty traffic.
   uint64_t idle_spin_passes = 64;
   /// What a blocking `Submit` does when a producer queue stays full:
-  /// block (default), shed with exact accounting, or spill into a bounded
-  /// shared overflow buffer. See overload.h.
+  /// block (default) or shed with exact accounting. See overload.h.
   OverloadOptions overload;
   /// Register this pipeline's counters/gauges/histograms with
   /// `obs::Registry::Default()` and record hot-path latencies. Off by
@@ -87,12 +101,10 @@ struct PipelineStats {
   /// Submit once the pipeline is drained.
   uint64_t events_shed = 0;
   /// Exact per-producer-slot shed counts; events_shed is their sum.
-  /// Size = num_producers under `OverloadPolicy::kShed`, empty under the
-  /// other policies (where every count is zero by construction — leaving
+  /// Size = num_producers under `OverloadPolicy::kShed`, empty under
+  /// `kBlock` (where every count is zero by construction — leaving
   /// it empty keeps the frequently-sampled Stats() path allocation-free).
   std::vector<uint64_t> shed_per_slot;
-  uint64_t events_spilled = 0;     ///< events ever routed through the spill buffer (kSpill)
-  uint64_t spill_depth = 0;        ///< events currently in the spill buffer (gauge)
 };
 
 /// \brief Per-worker activity counters, taken with

@@ -9,40 +9,8 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
       return "block";
     case OverloadPolicy::kShed:
       return "shed";
-    case OverloadPolicy::kSpill:
-      return "spill";
   }
   return "unknown";
-}
-
-SpillBuffer::SpillBuffer(uint64_t capacity)
-    : buf_(capacity < 1 ? 1 : capacity), capacity_(buf_.size()) {}
-
-bool SpillBuffer::TryPush(const Event& e) {
-  MutexLock lock(&mu_);
-  if (tail_ - head_ == capacity_) return false;
-  buf_[tail_ % capacity_] = e;
-  ++tail_;
-  // mo: release — publishes the slot write above to SizeApprox's acquire
-  // gauge readers (autoscaler, stats) outside the lock.
-  size_.store(tail_ - head_, std::memory_order_release);
-  // mo: relaxed — monotonic stats counter, read relaxed in TotalSpilled.
-  spilled_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-uint64_t SpillBuffer::PopBatch(Event* out, uint64_t max) {
-  MutexLock lock(&mu_);
-  uint64_t n = tail_ - head_;
-  if (n > max) n = max;
-  for (uint64_t i = 0; i < n; ++i) {
-    out[i] = buf_[(head_ + i) % capacity_];
-  }
-  head_ += n;
-  // mo: release — same pairing as TryPush: the gauge never runs ahead of
-  // the cursor updates it summarizes.
-  size_.store(tail_ - head_, std::memory_order_release);
-  return n;
 }
 
 }  // namespace pipeline

@@ -10,36 +10,25 @@
 ///
 ///  - `kBlock` — wait for ring space on the not-full eventcount. Nothing
 ///    is lost, producers absorb the backpressure. The default, and the
-///    pre-overload behavior.
+///    pre-overload behavior. A burst that must not park is absorbed by
+///    sizing `PipelineOptions::queue_capacity` for it: each ring has one
+///    owning worker, so the buffer stays single-producer/single-consumer.
 ///  - `kShed` — bounded-latency drop: after the short spin budget the
 ///    event is discarded and `Submit` returns OK immediately. Loss is
 ///    deliberate and *exactly accounted*: `PipelineStats::events_shed`
 ///    and the per-slot `shed_per_slot[]` counters record every shed
 ///    event, so `delivered + shed == submitted` is checkable to the last
 ///    event (the overload bench asserts it).
-///  - `kSpill` — bounded in-memory overflow: the event goes into a
-///    preallocated `SpillBuffer` shared by all producers and is drained
-///    opportunistically by the workers alongside the rings. Nothing is
-///    lost while the spill has room; when the spill itself fills, Submit
-///    falls back to `kBlock` parking. The spill depth is exported via
-///    `PipelineStats::spill_depth` and counts toward the `Autoscaler`'s
-///    queue-pressure signal, so sustained spilling grows the worker pool.
 ///
 /// `TrySubmit` is not affected by the policy: it is the explicitly
 /// non-blocking, allocation-free probe and keeps reporting `kPending` on a
-/// full ring regardless — callers that want shed/spill semantics go
-/// through `Submit`.
+/// full ring regardless — callers that want shed semantics go through
+/// `Submit`.
 
 #ifndef COUNTLIB_PIPELINE_OVERLOAD_H_
 #define COUNTLIB_PIPELINE_OVERLOAD_H_
 
-#include <atomic>
 #include <cstdint>
-#include <vector>
-
-#include "pipeline/event_type.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace countlib {
 namespace pipeline {
@@ -48,74 +37,14 @@ namespace pipeline {
 enum class OverloadPolicy : uint8_t {
   kBlock = 0,  ///< park until ring space frees (lossless, producer waits)
   kShed = 1,   ///< drop the event, count it per slot (bounded latency)
-  kSpill = 2,  ///< overflow into a bounded shared buffer (lossless until full)
 };
 
-/// Stable human-readable policy name ("block" / "shed" / "spill").
+/// Stable human-readable policy name ("block" / "shed").
 const char* OverloadPolicyName(OverloadPolicy policy);
 
 /// \brief Overload-control knobs, embedded in `PipelineOptions`.
 struct OverloadOptions {
   OverloadPolicy policy = OverloadPolicy::kBlock;
-  /// Capacity of the shared spill buffer in events (`kSpill` only);
-  /// preallocated at pipeline construction so spilling never allocates.
-  /// Must be in [1, 2^30] when the policy is `kSpill`; ignored otherwise.
-  uint64_t spill_capacity = uint64_t{1} << 16;
-};
-
-/// \brief Bounded MPMC overflow buffer of events, preallocated up front.
-///
-/// The spill path fires exactly when the system is saturated, so pushes
-/// must not heap-allocate: the buffer is one flat array sized at
-/// construction, used as a mutex-guarded ring. Producers `TryPush` when
-/// their SPSC ring is full; workers `PopBatch` opportunistically after
-/// draining their rings. The mutex is uncontended in the common case
-/// (spilling is the exception, not the steady state) and `SizeApprox` is
-/// a lock-free gauge read for stats and the autoscaler.
-class SpillBuffer {
- public:
-  /// Preallocates storage for exactly `capacity` events.
-  explicit SpillBuffer(uint64_t capacity);
-
-  SpillBuffer(const SpillBuffer&) = delete;
-  SpillBuffer& operator=(const SpillBuffer&) = delete;
-
-  /// Appends `e`; returns false when the buffer is full (the caller falls
-  /// back to blocking). Never allocates.
-  bool TryPush(const Event& e);
-
-  /// Removes up to `max` events into `out`; returns the number removed.
-  uint64_t PopBatch(Event* out, uint64_t max);
-
-  /// Events currently buffered (lock-free gauge; exact only when
-  /// quiescent).
-  uint64_t SizeApprox() const {
-    // mo: acquire — any-thread gauge read paired with the release store
-    // under the lock, so the gauge is no staler than the last push/pop.
-    return size_.load(std::memory_order_acquire);
-  }
-
-  /// Cumulative events ever pushed (monotonic; for stats).
-  uint64_t TotalSpilled() const {
-    // mo: relaxed — monotonic stats counter; readers only need some
-    // recent value, never ordering against the buffered events.
-    return spilled_.load(std::memory_order_relaxed);
-  }
-
-  uint64_t capacity() const { return capacity_; }
-
- private:
-  Mutex mu_ LOCK_LEVEL(50);
-  /// Flat ring storage. The vector is sized once at construction and never
-  /// reallocated, but its slots are written/read only under `mu_`.
-  std::vector<Event> buf_ GUARDED_BY(mu_);
-  uint64_t head_ GUARDED_BY(mu_) = 0;  // pop cursor
-  uint64_t tail_ GUARDED_BY(mu_) = 0;  // push cursor
-  /// Immutable after construction; lets `capacity()` stay lock-free
-  /// instead of reading `buf_.size()` without the guard.
-  uint64_t capacity_ = 0;
-  std::atomic<uint64_t> size_{0};
-  std::atomic<uint64_t> spilled_{0};
 };
 
 }  // namespace pipeline

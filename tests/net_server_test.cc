@@ -139,19 +139,45 @@ TEST(NetServerTest, RequestedWindowIsHonored) {
   ASSERT_TRUE(client->Close().ok());
 }
 
-TEST(NetServerTest, WindowIsSizedFromRingAndSpillHeadroom) {
-  // A kSpill pipeline advertises ring + spill headroom; a small ring with
-  // a big spill should open a window larger than the ring alone.
+TEST(NetServerTest, WindowIsSizedFromRingHeadroom) {
+  // The window is the free space in the connection's own ring: an empty
+  // 64-event ring under the default (larger) max window opens exactly 64.
   auto store = MakeExactStore();
   pipeline::PipelineOptions opt = BaseOptions();
   opt.queue_capacity = 64;
-  opt.overload.policy = pipeline::OverloadPolicy::kSpill;
-  opt.overload.spill_capacity = 1 << 12;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
-  EXPECT_GT(client->Stats().credits_available, 64u);
+  EXPECT_EQ(client->Stats().credits_available, 64u);
   ASSERT_TRUE(client->Close().ok());
+}
+
+TEST(NetServerTest, EachConnectionIsGrantedAtMostItsOwnRing) {
+  // A credit promises space in that connection's ring and nowhere else, so
+  // two connections on one pipeline are each held to their own 64-event
+  // ring, at the handshake and after every refill.
+  auto store = MakeExactStore();
+  pipeline::PipelineOptions opt = BaseOptions();
+  opt.queue_capacity = 64;
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
+  auto a = EventClient::Connect(ClientFor(*server)).ValueOrDie();
+  auto b = EventClient::Connect(ClientFor(*server)).ValueOrDie();
+  EXPECT_LE(a->Stats().credits_available, 64u);
+  EXPECT_LE(b->Stats().credits_available, 64u);
+  for (uint64_t i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(a->Submit(i % 97, 1).ok());
+    ASSERT_TRUE(b->Submit(i % 89, 1).ok());
+    ASSERT_LE(a->Stats().credits_available, 64u);
+    ASSERT_LE(b->Stats().credits_available, 64u);
+  }
+  ASSERT_TRUE(a->Close().ok());
+  ASSERT_TRUE(b->Close().ok());
+  EXPECT_EQ(a->Stats().events_delivered, 5000u);
+  EXPECT_EQ(b->Stats().events_delivered, 5000u);
+  ASSERT_TRUE(server->Stop().ok());
+  ASSERT_TRUE(pipe->Drain().ok());
+  EXPECT_EQ(pipe->Stats().events_applied, 10000u);
 }
 
 TEST(NetServerTest, RefusesWhenEverySlotIsLeased) {
