@@ -1,7 +1,7 @@
 /// \file pipeline_throughput.cc
 /// \brief PIPELINE: ingest throughput — direct per-event store writes vs
-/// the async batched pipeline, plus elastic-scaling, idle-CPU, and
-/// backpressure-cost scenarios.
+/// the async batched pipeline, plus idle-CPU, backpressure-cost, overload,
+/// net, sharded and observability scenarios.
 ///
 /// Every scenario's store is a `ShardedCounterStore` with one lane per
 /// writer thread. Replays the same Zipf trace through (a) producer threads
@@ -13,10 +13,7 @@
 /// per *distinct* key per batch, which is where the win comes from even on
 /// a single core.
 ///
-/// Five extra scenarios track the elastic-pipeline work:
-///  - **elastic**: replays the trace while `SetWorkerCount` steps the
-///    worker pool 1→4→2→4 mid-stream (the resize barrier is on the hot
-///    path, so regressions show up as throughput loss).
+/// Extra scenarios:
 ///  - **idle**: a flushed, quiet pipeline is watched for one second; the
 ///    CV-parked workers must do near-zero busy passes (asserted) and only
 ///    a handful of timeout-bounded idle passes — this is the number that
@@ -31,9 +28,6 @@
 ///    and land its event promptly once a drain frees space — the
 ///    producer-side mirror of the idle scenario, measuring the not-full
 ///    eventcount that replaced the 100µs sleep-poll backoff.
-///  - **autoscale**: a producer burst against a 1-worker pool with the
-///    `Autoscaler` attached must grow the pool (and shrink it back once
-///    quiet) with zero lost events (asserted).
 ///  - **net**: the socket front-end (src/net/) on loopback — EventClient
 ///    connections framing the trace over TCP with credit flow control
 ///    into the same pipeline config, against the in-process Submit
@@ -61,8 +55,7 @@
 /// working directory — run from the repo root for the cross-PR
 /// trajectory). JSON schema (stable keys): `bench`, `keys`, `skew`,
 /// `configs[] {mode, producers, events, elapsed_s, events_per_sec,
-/// agg_factor}`, `elastic {producers, worker_steps[], events, elapsed_s,
-/// events_per_sec, agg_factor}`, `idle {seconds, busy_passes, idle_passes,
+/// agg_factor}`, `idle {seconds, busy_passes, idle_passes,
 /// wakeups, cpu_seconds}`, `backpressure {attempts, accepted, rejected,
 /// elapsed_s, attempts_per_sec, rejects_per_sec, reject_attempts,
 /// reject_allocs, invalid_slot_attempts, invalid_slot_allocs}`,
@@ -73,9 +66,7 @@
 /// credit_stalls, reconnects, lost_events, unaccounted_events}`,
 /// `saturated_producer_cpu
 /// {park_seconds, cpu_seconds, parks, wakeups, retries_while_parked,
-/// wake_latency_s}`, `autoscale {events, burst_seconds, events_per_sec,
-/// peak_workers, final_workers, scale_ups, scale_downs, samples,
-/// lost_events}`, `overload {shed {attempts, delivered, shed,
+/// wake_latency_s}`, `overload {shed {attempts, delivered, shed,
 /// unaccounted_events, submits_per_sec}, block {attempts, delivered, shed,
 /// producer_parks, peak_queue_depth, lost_events}}`, `observability {events,
 /// uninstrumented_events_per_sec, instrumented_events_per_sec,
@@ -110,7 +101,6 @@
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
-#include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/cli.h"
@@ -175,18 +165,6 @@ struct SaturatedProducerResult {
   uint64_t wakeups;         // parks ended by a drain's nonfull signal
   uint64_t retries_while_parked;  // TrySubmit rejects while blocked
   double wake_latency_s;    // resume -> Submit returned
-};
-
-struct AutoscaleResult {
-  uint64_t events;
-  double burst_seconds;
-  double events_per_sec;
-  uint64_t peak_workers;
-  uint64_t final_workers;
-  uint64_t scale_ups;
-  uint64_t scale_downs;
-  uint64_t samples;
-  uint64_t lost_events;
 };
 
 struct OverloadResult {
@@ -282,8 +260,7 @@ RunResult RunDirect(const std::vector<std::vector<pipeline::Event>>& parts,
 
 RunResult RunPipeline(const std::vector<std::vector<pipeline::Event>>& parts,
                       uint64_t n_max, uint64_t workers,
-                      uint64_t queue_capacity, uint64_t max_batch,
-                      const std::vector<uint64_t>& worker_steps = {}) {
+                      uint64_t queue_capacity, uint64_t max_batch) {
   auto store = MakeStore(parts.size(), n_max);
   pipeline::PipelineOptions opt;
   opt.num_producers = parts.size();
@@ -302,13 +279,6 @@ RunResult RunPipeline(const std::vector<std::vector<pipeline::Event>>& parts,
       }
     });
   }
-  // The elastic scenario: step the worker pool while producers submit.
-  // Each step re-partitions ring ownership at the join barrier; queued
-  // events must all survive (checked below via events_applied).
-  for (uint64_t n : worker_steps) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(n));
-  }
   for (auto& t : threads) t.join();
   COUNTLIB_CHECK_OK(ingest->Drain());
   const double elapsed = Now() - start;
@@ -318,8 +288,7 @@ RunResult RunPipeline(const std::vector<std::vector<pipeline::Event>>& parts,
                          ? 1.0
                          : static_cast<double>(stats.events_applied) /
                                static_cast<double>(stats.updates_applied);
-  return RunResult{worker_steps.empty() ? "pipeline" : "pipeline-elastic",
-                   parts.size(), total, elapsed,
+  return RunResult{"pipeline", parts.size(), total, elapsed,
                    static_cast<double>(total) / elapsed, agg};
 }
 
@@ -395,11 +364,11 @@ BackpressureResult RunBackpressure(double seconds) {
   }
   r.elapsed_s = Now() - start;
 
-  // Allocation-freedom audit of the reject paths. Pause the pipeline
-  // (SetWorkerCount(0)) so the only thread that could allocate is this
-  // one: with the workers gone, a nonzero delta across the hammer loops
-  // can only come from the reject paths themselves.
-  COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
+  // Allocation-freedom audit of the reject paths. Pause the pipeline so
+  // the only thread that could allocate is this one: with the workers
+  // gone, a nonzero delta across the hammer loops can only come from the
+  // reject paths themselves.
+  COUNTLIB_CHECK_OK(ingest->Pause());
   while (ingest->TrySubmit(0, 1, 1).ok()) {
   }
   constexpr uint64_t kAuditAttempts = 100000;
@@ -448,7 +417,7 @@ SaturatedProducerResult RunSaturatedProducer(double seconds) {
   opt.queue_capacity = 1024;
   opt.max_batch = 2048;  // the resume drains the whole ring in one pass
   auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
+  COUNTLIB_CHECK_OK(ingest->Pause());
   while (ingest->TrySubmit(0, 1, 1).ok()) {
   }
   const pipeline::PipelineStats before = ingest->Stats();
@@ -465,7 +434,7 @@ SaturatedProducerResult RunSaturatedProducer(double seconds) {
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<int>(seconds * 1000)));
   const double resume_at = Now();
-  COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
+  COUNTLIB_CHECK_OK(ingest->Resume());
   producer.join();
 
   const pipeline::PipelineStats after = ingest->Stats();
@@ -482,79 +451,6 @@ SaturatedProducerResult RunSaturatedProducer(double seconds) {
   // timeout ladder.
   COUNTLIB_CHECK_LT(r.cpu_seconds, 0.005 * (seconds < 1.0 ? 1.0 : seconds));
   COUNTLIB_CHECK_LT(r.wake_latency_s, 0.25);
-  return r;
-}
-
-/// A burst against a 1-worker pool with the Autoscaler attached: the pool
-/// must grow under the burst, shrink back once quiet, and lose nothing.
-/// max_batch is kept small so the burst visibly outruns the initial
-/// worker.
-AutoscaleResult RunAutoscale(double burst_seconds) {
-  auto store = MakeStore(4, 1u << 24);
-  pipeline::PipelineOptions opt;
-  opt.num_producers = 4;
-  opt.num_workers = 1;
-  opt.queue_capacity = 2048;
-  opt.max_batch = 64;
-  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-
-  pipeline::AutoscalerConfig config;
-  config.min_workers = 1;
-  config.max_workers = 4;
-  config.sample_interval = std::chrono::milliseconds(5);
-  config.cooldown = std::chrono::milliseconds(25);
-  config.scale_up_queue_depth = 2048;
-  config.scale_up_samples = 1;
-  config.scale_down_queue_depth = 128;
-  config.scale_down_samples = 4;
-  auto scaler = pipeline::Autoscaler::Make(ingest.get(), config).ValueOrDie();
-
-  AutoscaleResult r{};
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> produced{0};
-  std::vector<std::thread> producers;
-  for (uint64_t p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        COUNTLIB_CHECK_OK(ingest->Submit(p, /*key=*/(p * 8191 + i++) & 4095, 1));
-        produced.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  const double start = Now();
-  r.peak_workers = ingest->num_workers();
-  while (Now() - start < burst_seconds) {
-    r.peak_workers = std::max(r.peak_workers, ingest->num_workers());
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : producers) t.join();
-  r.burst_seconds = Now() - start;
-  r.events = produced.load();
-  r.events_per_sec = static_cast<double>(r.events) / r.burst_seconds;
-
-  // Quiet period: wait (bounded) for the pool to walk back to the floor.
-  const double quiet_deadline = Now() + 10.0;
-  while (ingest->num_workers() > config.min_workers && Now() < quiet_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  r.final_workers = ingest->num_workers();
-  scaler->Stop();
-  const pipeline::AutoscalerStats as = scaler->Stats();
-  r.scale_ups = as.scale_ups;
-  r.scale_downs = as.scale_downs;
-  r.samples = as.samples;
-
-  COUNTLIB_CHECK_OK(ingest->Flush());
-  COUNTLIB_CHECK_OK(ingest->Drain());
-  const pipeline::PipelineStats stats = ingest->Stats();
-  r.lost_events = r.events - stats.events_applied;
-  // The acceptance gates: the burst grew the pool, the quiet shrank it
-  // back, and the churn lost nothing.
-  COUNTLIB_CHECK_GT(r.peak_workers, uint64_t{1});
-  COUNTLIB_CHECK_EQ(r.final_workers, config.min_workers);
-  COUNTLIB_CHECK_EQ(r.lost_events, uint64_t{0});
   return r;
 }
 
@@ -575,7 +471,7 @@ OverloadResult RunOverload() {
     opt.queue_capacity = 1024;
     opt.overload.policy = pipeline::OverloadPolicy::kShed;
     auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));  // freeze: no drains
+    COUNTLIB_CHECK_OK(ingest->Pause());  // freeze: no drains
     constexpr uint64_t kAttempts = 100000;
     const double start = Now();
     for (uint64_t i = 0; i < kAttempts; ++i) {
@@ -584,7 +480,7 @@ OverloadResult RunOverload() {
       COUNTLIB_CHECK_OK(ingest->Submit(0, /*key=*/i & 63, 1));
     }
     const double elapsed = Now() - start;
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
+    COUNTLIB_CHECK_OK(ingest->Resume());
     COUNTLIB_CHECK_OK(ingest->Drain());
     const pipeline::PipelineStats stats = ingest->Stats();
     r.shed_attempts = kAttempts;
@@ -609,13 +505,13 @@ OverloadResult RunOverload() {
     opt.max_batch = 2048;
     opt.overload.policy = pipeline::OverloadPolicy::kBlock;
     auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
+    COUNTLIB_CHECK_OK(ingest->Pause());
     constexpr uint64_t kAttempts = 50000;  // all of it fits in the ring
     for (uint64_t i = 0; i < kAttempts; ++i) {
       COUNTLIB_CHECK_OK(ingest->Submit(0, /*key=*/i & 63, 1));
     }
     r.block_peak_depth = ingest->Stats().queue_depth;
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
+    COUNTLIB_CHECK_OK(ingest->Resume());
     COUNTLIB_CHECK_OK(ingest->Drain());
     const pipeline::PipelineStats stats = ingest->Stats();
     r.block_attempts = kAttempts;
@@ -988,7 +884,7 @@ ObservabilityResult RunObservability(
     opt.enable_metrics = true;
     opt.latency_sample_shift = 0;
     auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
+    COUNTLIB_CHECK_OK(ingest->Pause());
     obs::CoarseClock::Set(1000000);
     // Warm thread-locals and the lazily built pending Status: fill the
     // ring and trip the first rejection outside the counted window.
@@ -1002,7 +898,7 @@ ObservabilityResult RunObservability(
     r.record_allocs =
         g_heap_allocs.load(std::memory_order_relaxed) - before;
     obs::CoarseClock::Set(0);
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
+    COUNTLIB_CHECK_OK(ingest->Resume());
     COUNTLIB_CHECK_OK(ingest->Drain());
   }
 
@@ -1017,11 +913,8 @@ ObservabilityResult RunObservability(
 }
 
 std::string ToJson(const std::vector<RunResult>& results,
-                   const RunResult& elastic,
-                   const std::vector<uint64_t>& worker_steps,
                    const IdleResult& idle, const BackpressureResult& bp,
                    const SaturatedProducerResult& sat,
-                   const AutoscaleResult& autoscale,
                    const OverloadResult& overload,
                    const ObservabilityResult& obs, const NetResult& net,
                    const std::vector<ShardedRunResult>& sharded,
@@ -1030,31 +923,19 @@ std::string ToJson(const std::vector<RunResult>& results,
                     std::to_string(keys) + ",\"skew\":" + std::to_string(skew) +
                     ",\"configs\":[";
   char buf[512];
-  // `extra` lands verbatim inside the object, after agg_factor — the
-  // elastic entry uses it to carry its worker_steps array.
-  const auto append_run = [&out, &buf](const RunResult& r,
-                                       const std::string& extra = "") {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"mode\":\"%s\",\"producers\":%llu,\"events\":%llu,"
-                  "\"elapsed_s\":%.6f,\"events_per_sec\":%.1f,"
-                  "\"agg_factor\":%.3f%s}",
-                  r.mode.c_str(), static_cast<unsigned long long>(r.producers),
-                  static_cast<unsigned long long>(r.events), r.elapsed_s,
-                  r.events_per_sec, r.agg_factor, extra.c_str());
-    out += buf;
-  };
   for (size_t i = 0; i < results.size(); ++i) {
-    if (i > 0) out += ",";
-    append_run(results[i]);
+    const RunResult& r = results[i];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"mode\":\"%s\",\"producers\":%llu,\"events\":%llu,"
+                  "\"elapsed_s\":%.6f,\"events_per_sec\":%.1f,"
+                  "\"agg_factor\":%.3f}",
+                  i > 0 ? "," : "", r.mode.c_str(),
+                  static_cast<unsigned long long>(r.producers),
+                  static_cast<unsigned long long>(r.events), r.elapsed_s,
+                  r.events_per_sec, r.agg_factor);
+    out += buf;
   }
-  out += "],\"elastic\":";
-  std::string steps = ",\"worker_steps\":[";
-  for (size_t i = 0; i < worker_steps.size(); ++i) {
-    if (i > 0) steps += ",";
-    steps += std::to_string(worker_steps[i]);
-  }
-  steps += "]";
-  append_run(elastic, steps);
+  out += "]";
   std::snprintf(buf, sizeof(buf),
                 ",\"idle\":{\"seconds\":%.3f,\"busy_passes\":%llu,"
                 "\"idle_passes\":%llu,\"wakeups\":%llu,\"cpu_seconds\":%.4f}",
@@ -1089,21 +970,6 @@ std::string ToJson(const std::vector<RunResult>& results,
       static_cast<unsigned long long>(sat.wakeups),
       static_cast<unsigned long long>(sat.retries_while_parked),
       sat.wake_latency_s);
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"autoscale\":{\"events\":%llu,\"burst_seconds\":%.4f,"
-      "\"events_per_sec\":%.1f,\"peak_workers\":%llu,"
-      "\"final_workers\":%llu,\"scale_ups\":%llu,\"scale_downs\":%llu,"
-      "\"samples\":%llu,\"lost_events\":%llu}",
-      static_cast<unsigned long long>(autoscale.events),
-      autoscale.burst_seconds, autoscale.events_per_sec,
-      static_cast<unsigned long long>(autoscale.peak_workers),
-      static_cast<unsigned long long>(autoscale.final_workers),
-      static_cast<unsigned long long>(autoscale.scale_ups),
-      static_cast<unsigned long long>(autoscale.scale_downs),
-      static_cast<unsigned long long>(autoscale.samples),
-      static_cast<unsigned long long>(autoscale.lost_events));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -1235,16 +1101,6 @@ int Main(int argc, const char* const* argv) {
     }
   }
 
-  const std::vector<uint64_t> worker_steps = {4, 2, 4};
-  const auto elastic_parts = Partition(trace.events(), 4);
-  RunResult elastic = RunPipeline(
-      elastic_parts, events, /*workers=*/1, flags.GetUint64("queue_capacity"),
-      flags.GetUint64("max_batch"), worker_steps);
-  table.BeginRow() << elastic.mode << elastic.producers
-                   << elastic.events_per_sec << elastic.elapsed_s
-                   << elastic.agg_factor;
-  COUNTLIB_CHECK_OK(table.EndRow());
-
   const IdleResult idle = RunIdle(flags.GetDouble("idle_seconds"), 2);
   std::printf(
       "# idle: %.2fs quiet -> %llu busy passes, %llu idle passes, "
@@ -1276,19 +1132,6 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(sat.parks),
       static_cast<unsigned long long>(sat.retries_while_parked),
       sat.wake_latency_s * 1e3);
-
-  const AutoscaleResult autoscale = RunAutoscale(0.5);
-  std::printf(
-      "# autoscale: %.2fs burst of %llu events -> pool 1 -> %llu -> %llu "
-      "(%llu ups, %llu downs over %llu samples), %llu lost\n",
-      autoscale.burst_seconds,
-      static_cast<unsigned long long>(autoscale.events),
-      static_cast<unsigned long long>(autoscale.peak_workers),
-      static_cast<unsigned long long>(autoscale.final_workers),
-      static_cast<unsigned long long>(autoscale.scale_ups),
-      static_cast<unsigned long long>(autoscale.scale_downs),
-      static_cast<unsigned long long>(autoscale.samples),
-      static_cast<unsigned long long>(autoscale.lost_events));
 
   const OverloadResult overload = RunOverload();
   std::printf(
@@ -1363,8 +1206,7 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(net.unaccounted_events));
 
   const std::string json =
-      ToJson(results, elastic, worker_steps, idle, bp, sat, autoscale,
-             overload, obs, net, sharded, keys, skew);
+      ToJson(results, idle, bp, sat, overload, obs, net, sharded, keys, skew);
   std::printf("%s\n", json.c_str());
   const std::string json_out = flags.GetString("json_out");
   if (!json_out.empty()) {

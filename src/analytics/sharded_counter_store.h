@@ -23,10 +23,10 @@
 /// `num_lanes()` is the shard count. Lane `w` writes only shard `w`; the
 /// single-writer-per-lane contract (store_interface.h) makes the shard's
 /// `CounterStore` calls data-race-free with no locking at all. The
-/// ingestion pipeline satisfies the contract naturally: worker `w` owns
-/// lane `w`, and lane ownership migrates with ring ownership across
-/// `SetWorkerCount` join barriers (a happens-before edge), so no events
-/// are lost or double-counted across a resize.
+/// ingestion pipeline satisfies the contract naturally: worker `w` always
+/// owns lane `w`, and a `Pause` joins the worker threads before `Resume`
+/// respawns them (a happens-before edge), so no events are lost or
+/// double-counted across a pause.
 ///
 /// ## The freeze protocol (reads)
 ///

@@ -86,9 +86,9 @@ class CounterReader {
 ///
 ///  - At any instant, at most one thread writes a given lane. Lane
 ///    ownership may migrate between threads, but only across a
-///    happens-before edge (the pipeline migrates lane ownership with ring
-///    ownership at `SetWorkerCount` join barriers, which provide exactly
-///    that edge).
+///    happens-before edge (the pipeline's worker `w` always writes lane
+///    `w`; across a `Pause`/`Resume` the join of the old worker thread is
+///    exactly that edge to the new one).
 ///  - Different lanes are fully concurrent — implementations must not make
 ///    one lane's progress wait on another's.
 ///

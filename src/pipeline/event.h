@@ -49,9 +49,10 @@ struct PipelineOptions {
   /// Per-producer queue capacity in events; rounded up to a power of two.
   /// When a queue is full, `TrySubmit` reports `kPending` backpressure.
   uint64_t queue_capacity = 4096;
-  /// Initial background drain threads; adjustable at runtime with
-  /// `SetWorkerCount`. Producer queues are assigned round-robin to workers,
-  /// so more workers than producers is never useful (clamped).
+  /// Background drain threads, fixed for the pipeline's life (`Pause` and
+  /// `Resume` stop and restart the same pool). Producer queues are
+  /// assigned round-robin to workers, so more workers than producers is
+  /// never useful (clamped, as is the store's lane count).
   uint64_t num_workers = 1;
   /// Max events a worker drains into one pre-aggregated store batch.
   uint64_t max_batch = 1024;
@@ -108,9 +109,9 @@ struct PipelineStats {
 };
 
 /// \brief Per-worker activity counters, taken with
-/// `IngestPipeline::PerWorkerStats`. Counters are cumulative per worker id
-/// across `SetWorkerCount` generations (worker `i` of the new pool inherits
-/// the cells of worker `i` of the old pool). The shutdown sweep in `Drain`
+/// `IngestPipeline::PerWorkerStats`, one per worker id. Counters are
+/// cumulative across `Pause`/`Resume` (worker `i` of the resumed pool
+/// keeps the cells of worker `i`). The shutdown sweep in `Drain`
 /// is not attributed to any worker, so per-worker sums can undercount the
 /// aggregate `PipelineStats` by the final sweep's share.
 struct WorkerStats {

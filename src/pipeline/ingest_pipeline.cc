@@ -85,8 +85,8 @@ const Status& InvalidSlotStatus() {
 
 const Status& PausedFlushStatus() {
   static const Status st = Status::FailedPrecondition(
-      "Flush: pipeline is paused (0 workers) with events queued; resume "
-      "with SetWorkerCount or let Drain sweep them");
+      "Flush: pipeline is paused (0 workers) with events queued; Resume "
+      "it or let Drain sweep them");
   return st;
 }
 
@@ -152,8 +152,9 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
   options_.num_workers = std::min(options_.num_workers, options_.num_producers);
   options_.num_workers =
       std::min<uint64_t>(options_.num_workers, store_->num_lanes());
+  worker_cells_ = std::make_unique<WorkerStatCells[]>(options_.num_workers);
   MutexLock lock(&workers_mu_);
-  SpawnWorkersLocked(options_.num_workers);
+  SpawnWorkersLocked();
 }
 
 void IngestPipeline::RegisterMetrics() {
@@ -250,19 +251,14 @@ IngestPipeline::~IngestPipeline() {
   }
 }
 
-void IngestPipeline::SpawnWorkersLocked(uint64_t n) {
-  {
-    MutexLock lock(&cells_mu_);
-    while (worker_cells_.size() < n) {
-      worker_cells_.push_back(std::make_unique<WorkerStatCells>());
-    }
-  }
-  // mo: acquire — reads the generation the retiring resize (if any)
+void IngestPipeline::SpawnWorkersLocked() {
+  const uint64_t n = options_.num_workers;
+  // mo: acquire — reads the generation the retiring Pause (if any)
   // published; the spawned workers compare against this snapshot.
   const uint64_t gen = worker_gen_.load(std::memory_order_acquire);
   workers_.reserve(n);
   for (uint64_t w = 0; w < n; ++w) {
-    workers_.emplace_back([this, w, gen, n] { WorkerLoop(w, gen, n); });
+    workers_.emplace_back([this, w, gen] { WorkerLoop(w, gen); });
   }
   // mo: release — publishes the fully spawned pool to num_workers() /
   // gauge readers (paired acquire loads).
@@ -435,31 +431,31 @@ void IngestPipeline::ReleaseProducerSlot(uint64_t slot) {
   slots_ec_.NotifyIfWaiters();
 }
 
-Status IngestPipeline::SetWorkerCount(uint64_t n) {
-  if (n > 256) {
-    return Status::InvalidArgument("SetWorkerCount: n in [0, 256]");
-  }
+Status IngestPipeline::Pause() {
   MutexLock lock(&workers_mu_);
-  // mo: acquire — refuse resizes once Drain has published closed_.
+  // mo: acquire — refuse once Drain has published closed_.
   if (closed_.load(std::memory_order_acquire)) return DrainingStatus();
-  n = std::min<uint64_t>(n, rings_.size());
-  // Worker w of the new generation writes store lane w; shard ownership
-  // migrates with ring ownership across the join barrier below.
-  n = std::min<uint64_t>(n, store_->num_lanes());
-  if (n == workers_.size()) return Status::OK();
-  // Retire the current generation and join it. The join IS the safe
-  // barrier: afterwards no ring has a live consumer, so ownership can be
-  // re-dealt freely under the new count. Producers keep submitting
-  // throughout — queued events simply wait for their new owner, and no
-  // accepted event is dropped.
+  if (workers_.empty()) return Status::OK();
+  // Retire the pool and join it. The join IS the barrier: afterwards no
+  // ring has a live consumer. Producers keep submitting throughout —
+  // queued events wait for Resume (or Drain's final sweep).
   // mo: seq_cst — the retirement bump must order with the workers' parked
   // predicate reads so no worker sleeps through its own retirement.
   worker_gen_.fetch_add(1, std::memory_order_seq_cst);
   wake_ec_.NotifyIfWaiters();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
-  options_.num_workers = n;
-  SpawnWorkersLocked(n);
+  // mo: release — gauge publish, paired with num_workers()'s acquire.
+  worker_count_.store(0, std::memory_order_release);
+  return Status::OK();
+}
+
+Status IngestPipeline::Resume() {
+  MutexLock lock(&workers_mu_);
+  // mo: acquire — same closed_ pairing as Pause.
+  if (closed_.load(std::memory_order_acquire)) return DrainingStatus();
+  if (!workers_.empty()) return Status::OK();
+  SpawnWorkersLocked();
   return Status::OK();
 }
 
@@ -514,8 +510,8 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
       updates_.Add(batch->size());
       batches_.Add(1);
       if (cells != nullptr) {
-        // mo: relaxed — per-worker stats cells, folded under cells_mu_ by
-        // the snapshot readers; no ordering carried.
+        // mo: relaxed — per-worker stats cells, folded by the snapshot
+        // readers; no ordering carried.
         cells->events.fetch_add(count, std::memory_order_relaxed);
         // mo: relaxed — same stats-cell convention.
         cells->batches.fetch_add(1, std::memory_order_relaxed);
@@ -554,24 +550,15 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
   return count;
 }
 
-void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
-                                uint64_t num_workers) {
-  // Round-robin ring ownership for this generation; each ring has exactly
-  // one consumer (SPSC) because generations never overlap (SetWorkerCount
-  // joins the old one before spawning the new one).
+void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen) {
+  // Round-robin ring ownership, the same for every generation; each ring
+  // has exactly one consumer (SPSC) because generations never overlap
+  // (Pause joins one before Resume spawns the next).
   std::vector<uint64_t> owned;
-  for (uint64_t i = w; i < rings_.size(); i += num_workers) {
+  for (uint64_t i = w; i < rings_.size(); i += options_.num_workers) {
     owned.push_back(i);
   }
-  WorkerStatCells* cells = nullptr;
-  {
-    // The spawn (under workers_mu_) grew the vector before this thread
-    // existed, but the lock keeps the read honest against the guarded-by
-    // contract (and any future growth path) instead of relying on the
-    // spawn edge implicitly.
-    MutexLock lock(&cells_mu_);
-    cells = worker_cells_[w].get();
-  }
+  WorkerStatCells* cells = &worker_cells_[w];
   std::vector<Event> raw(options_.max_batch);
   std::unordered_map<uint64_t, uint64_t> agg;
   std::vector<analytics::KeyWeight> batch;
@@ -585,9 +572,9 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
   uint64_t idle_streak = 0;
   uint64_t pass = 0;
   while (true) {
-    // Retired by a resize: exit immediately; queued events are picked up
-    // by the successor generation (or Drain's final sweep).
-    // mo: acquire — pairs with the resize's seq_cst retirement bump.
+    // Retired by Pause: exit immediately; queued events are picked up by
+    // the next generation (or Drain's final sweep).
+    // mo: acquire — pairs with Pause's seq_cst retirement bump.
     if (worker_gen_.load(std::memory_order_acquire) != gen) return;
     // Load stop BEFORE draining: once stop_ is set the queues are closed,
     // so a subsequent empty pass proves the owned rings are fully
@@ -610,7 +597,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     }
     // Eventcount park: snapshot the epoch, recheck the rings, then sleep
     // until the epoch moves (producer push into an empty ring, shutdown,
-    // or resize). Any push that lands after the snapshot bumps the epoch,
+    // or Pause). Any push that lands after the snapshot bumps the epoch,
     // so ParkOne catches it before or after blocking; kIdleSleep
     // backstops the stale-emptiness corner of TryPush's verdict.
     const uint64_t epoch = wake_ec_.Epoch();
@@ -619,7 +606,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
         epoch,
         [&] {
           // mo: acquire ×2 — cancel probes for shutdown and retirement;
-          // pair with Drain's release store and the resize's seq_cst bump.
+          // pair with Drain's release store and Pause's seq_cst bump.
           return stop_.load(std::memory_order_acquire) ||
                  worker_gen_.load(std::memory_order_acquire) != gen;
         },
@@ -665,8 +652,8 @@ Status IngestPipeline::Flush() {
   flush_ec_.ParkUntil(
       [&] {
         if (quiesced()) return true;
-        // Paused pipeline (SetWorkerCount(0)) with a backlog: no worker
-        // will ever make progress, so fail fast instead of hanging. Once
+        // Paused pipeline with a backlog: no worker will ever make
+        // progress, so fail fast instead of hanging. Once
         // draining has begun the worker count is also 0, but Drain's final
         // sweep is the consumer then — keep waiting and let it finish.
         // mo: acquire ×2 — pool gauge and closed_ flag; both only need to
@@ -753,9 +740,9 @@ PipelineStats IngestPipeline::Stats() const {
   stats.producer_parks = producer_parks_.Value();
   stats.producer_wakeups = producer_wakeups_.Value();
   stats.events_shed = shed_total_.Value();
-  // Only a kShed pipeline materializes the per-slot vector: the Autoscaler
-  // samples Stats() on a tight cadence, and under the other policies the
-  // counts are all zero by construction — keep that path allocation-free.
+  // Only a kShed pipeline materializes the per-slot vector: under the other
+  // policies the counts are all zero by construction, so Stats() stays
+  // allocation-free for the gauges and servers that poll it.
   if (options_.overload.policy == OverloadPolicy::kShed) {
     stats.shed_per_slot.reserve(rings_.size());
     for (uint64_t i = 0; i < rings_.size(); ++i) {
@@ -765,13 +752,11 @@ PipelineStats IngestPipeline::Stats() const {
           shed_per_slot_[i].load(std::memory_order_relaxed));
     }
   }
-  {
-    MutexLock lock(&cells_mu_);
-    for (const auto& cells : worker_cells_) {
-      // mo: relaxed ×2 — stats cells; the fold needs no ordering.
-      stats.idle_passes += cells->idle.load(std::memory_order_relaxed);
-      stats.worker_wakeups += cells->wakeups.load(std::memory_order_relaxed);
-    }
+  for (uint64_t w = 0; w < options_.num_workers; ++w) {
+    // mo: relaxed ×2 — stats cells; the fold needs no ordering.
+    stats.idle_passes += worker_cells_[w].idle.load(std::memory_order_relaxed);
+    stats.worker_wakeups +=
+        worker_cells_[w].wakeups.load(std::memory_order_relaxed);
   }
   for (const auto& ring : rings_) stats.queue_depth += ring->SizeApprox();
   return stats;
@@ -779,14 +764,12 @@ PipelineStats IngestPipeline::Stats() const {
 
 std::vector<WorkerStats> IngestPipeline::PerWorkerStats() const {
   std::vector<WorkerStats> out;
-  MutexLock lock(&cells_mu_);
-  out.reserve(worker_cells_.size());
-  for (uint64_t w = 0; w < worker_cells_.size(); ++w) {
-    const WorkerStatCells& cells = *worker_cells_[w];
+  out.reserve(options_.num_workers);
+  for (uint64_t w = 0; w < options_.num_workers; ++w) {
+    const WorkerStatCells& cells = worker_cells_[w];
     WorkerStats stats;
     stats.worker_id = w;
-    // mo: relaxed ×4 — stats cells snapshotted under cells_mu_; the lock
-    // serializes the fold, the loads need no ordering of their own.
+    // mo: relaxed ×4 — stats cells; the snapshot needs no ordering.
     stats.events_applied = cells.events.load(std::memory_order_relaxed);
     stats.batches_applied = cells.batches.load(std::memory_order_relaxed);
     stats.idle_passes = cells.idle.load(std::memory_order_relaxed);

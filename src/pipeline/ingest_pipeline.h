@@ -16,12 +16,11 @@
 ///
 /// The store contract (analytics/store_interface.h) makes each lane a
 /// single-writer channel. The pipeline satisfies it structurally: worker
-/// `w` of a generation submits only through lane `w`, worker generations
-/// never overlap (`SetWorkerCount` joins the old generation before
-/// spawning the new — the same barrier that re-deals ring ownership also
-/// migrates lane ownership, with the join as the happens-before edge), and
-/// `Drain`'s final sweep runs after every worker has been joined, so its
-/// use of lane 0 cannot race a worker. Against a `ShardedCounterStore`
+/// `w` submits only through lane `w`, the pool is fixed at `Make` (a
+/// `Pause` joins it before a `Resume` respawns the same `w`s, so ring and
+/// lane ownership never change hands), and `Drain`'s final sweep runs
+/// after every worker has been joined, so its use of lane 0 cannot race a
+/// worker. Against a `ShardedCounterStore`
 /// this means the whole drain path is lock-free: each worker writes its
 /// own private shard and never touches another worker's cache lines. The
 /// worker count is clamped to `store->num_lanes()`.
@@ -93,21 +92,17 @@
 /// owning worker. `TrySubmit` is policy-independent: it stays the
 /// allocation-free `kPending` probe.
 ///
-/// ## Elasticity
+/// ## Pause and resume
 ///
-/// `SetWorkerCount(n)` re-partitions ring ownership at a safe barrier: the
-/// current worker generation is retired and joined (the barrier — after the
-/// join, no ring has a live consumer), then `n` fresh workers are spawned
-/// owning rings round-robin by the new count. Queued events are never
-/// dropped by a resize; they are simply picked up by the new owners.
-/// Per-worker activity is observable via `PerWorkerStats`.
-/// `SetWorkerCount(0)` is an explicit **pause**: accepted events stay
-/// queued, `TrySubmit` keeps accepting until the queues fill, and blocking
-/// submitters park until a resume (or `Drain`, which applies everything in
-/// its final sweep regardless). `Flush` fails fast with
+/// The worker pool is sized once, at `Make`: worker `w` always owns the
+/// rings `i % num_workers == w` and always writes store lane `w`.
+/// `Pause()` retires and joins the pool (the barrier: afterwards no ring
+/// has a live consumer); accepted events stay queued, `TrySubmit` keeps
+/// accepting until the queues fill, and blocking submitters park until
+/// `Resume()` respawns the same pool (or `Drain`, which applies
+/// everything in its final sweep regardless). `Flush` fails fast with
 /// `kFailedPrecondition` while the pipeline is paused with events queued
-/// instead of hanging. See `autoscaler.h` for the policy layer that drives
-/// `SetWorkerCount` automatically from queue depth and idle signals.
+/// instead of hanging.
 ///
 /// An event acknowledged with OK by `TrySubmit` is never lost, even when
 /// the submit races a concurrent `Drain` — draining waits out in-flight
@@ -183,23 +178,23 @@ class IngestPipeline {
   /// `kFailedPrecondition` once draining has begun.
   Result<ProducerSlot> TryAcquireProducerSlot();
 
-  /// Grows or shrinks the worker pool to `n` threads (clamped to the
-  /// number of producer slots and to the store's lane count),
-  /// re-partitioning ring — and store-lane — ownership at a safe
-  /// barrier. Concurrent submissions keep queueing during the switch; no
-  /// accepted event is lost. Serialized with concurrent resizes; returns
-  /// `kFailedPrecondition` once draining has begun and `kInvalidArgument`
-  /// for `n` > 256. `n == 0` pauses the pipeline: no drain threads run,
-  /// accepted events wait in their queues, and `Flush` fails fast instead
-  /// of hanging — resume with any `n >= 1` (nothing queued is ever lost;
-  /// `Drain`'s final sweep also applies a paused backlog). While paused,
+  /// Retires and joins the worker pool. Submissions keep queueing; no
+  /// accepted event is lost (`Resume` or `Drain`'s final sweep applies the
+  /// backlog). While paused, `Flush` fails fast instead of hanging and
   /// `AcquireProducerSlot` can block indefinitely on an undrained slot.
-  Status SetWorkerCount(uint64_t n);
+  /// A no-op when already paused; `kFailedPrecondition` once draining has
+  /// begun.
+  Status Pause();
+
+  /// Respawns the pool `Pause` retired: the same `num_workers` workers,
+  /// owning the same rings and lanes. A no-op on a running pipeline;
+  /// `kFailedPrecondition` once draining has begun.
+  Status Resume();
 
   /// Blocks until every event accepted before the call has been applied to
   /// the store. With producers still submitting concurrently this is a
   /// quiesce point, not a barrier. Fails fast with `kFailedPrecondition`
-  /// when the pipeline is paused (`SetWorkerCount(0)`) with events still
+  /// when the pipeline is paused (`Pause`) with events still
   /// queued — there is no worker to make progress, so waiting would hang.
   /// Otherwise returns the first worker error, if any.
   Status Flush();
@@ -212,8 +207,8 @@ class IngestPipeline {
   /// Snapshot of the activity counters and current gauges.
   PipelineStats Stats() const;
 
-  /// Per-worker activity snapshot, one entry per worker id ever used
-  /// (cumulative across `SetWorkerCount` generations).
+  /// Per-worker activity snapshot, one entry per worker id (exactly the
+  /// pool size fixed at `Make`; cumulative across `Pause`/`Resume`).
   std::vector<WorkerStats> PerWorkerStats() const;
 
   /// First store error hit by a worker (OK if none). Sticky.
@@ -221,8 +216,8 @@ class IngestPipeline {
 
   uint64_t num_producers() const { return rings_.size(); }
 
-  /// Current drain-thread count (changes only via `SetWorkerCount`; 0
-  /// while paused or after `Drain`).
+  /// Current drain-thread count: the pool size fixed at `Make`, or 0
+  /// while paused and after `Drain`.
   uint64_t num_workers() const {
     // mo: acquire — gauge mirror of workers_.size(), paired with the
     // release store after a spawn so callers see a fully started pool.
@@ -262,7 +257,7 @@ class IngestPipeline {
   friend class ProducerSlot;
 
   /// Per-worker atomic stat cells; cells outlive worker generations so ids
-  /// accumulate across resizes.
+  /// accumulate across pauses.
   struct WorkerStatCells {
     std::atomic<uint64_t> events{0};
     std::atomic<uint64_t> batches{0};
@@ -274,9 +269,9 @@ class IngestPipeline {
                  const PipelineOptions& options);
 
   /// Drain loop for worker `w` of generation `gen`, owning rings where
-  /// i % num_workers == w. Exits when its generation is retired
-  /// (SetWorkerCount) or when stopped with all owned rings drained.
-  void WorkerLoop(uint64_t w, uint64_t gen, uint64_t num_workers);
+  /// i % num_workers == w. Exits when its generation is retired (`Pause`)
+  /// or when stopped with all owned rings drained.
+  void WorkerLoop(uint64_t w, uint64_t gen);
 
   /// Drains up to `max_batch` events from the rings named by `ring_ids`
   /// into `raw` (sized `max_batch` by the caller, reused across passes),
@@ -310,9 +305,9 @@ class IngestPipeline {
   /// `obs::Registry::Default()` (enable_metrics only; ctor helper).
   void RegisterMetrics();
 
-  /// Spawns `n` workers of a fresh generation. Caller holds `workers_mu_`
+  /// Spawns the pool as a fresh generation. Caller holds `workers_mu_`
   /// and has joined every previous worker.
-  void SpawnWorkersLocked(uint64_t n) REQUIRES(workers_mu_);
+  void SpawnWorkersLocked() REQUIRES(workers_mu_);
 
   /// Returns `slot` to the registry (handle destructor path).
   void ReleaseProducerSlot(uint64_t slot);
@@ -323,24 +318,19 @@ class IngestPipeline {
   PipelineOptions options_;
   std::vector<std::unique_ptr<SpscRing>> rings_;
 
-  /// Worker pool; guarded by workers_mu_ (resize/join), as are
-  /// options_.num_workers updates. workers_mu_ is held across joins, so
-  /// nothing on a read path may take it.
+  /// Worker pool; guarded by workers_mu_ (pause/resume/join).
+  /// workers_mu_ is held across joins, so nothing on a read path may take
+  /// it.
   Mutex workers_mu_ LOCK_LEVEL(10);
   std::vector<std::thread> workers_ GUARDED_BY(workers_mu_);
-  /// Stat cells are guarded by their own (briefly held) mutex so
-  /// Stats/PerWorkerStats snapshots never block behind a resize or drain
-  /// join. The vector only grows, and only while no workers are live;
-  /// workers hold raw pointers to their own cells, which growth never
-  /// invalidates.
-  mutable Mutex cells_mu_ LOCK_LEVEL(20);
-  std::vector<std::unique_ptr<WorkerStatCells>> worker_cells_
-      GUARDED_BY(cells_mu_);
+  /// One stat cell per worker id, built once in the constructor and never
+  /// resized, so stats readers fold the atomics without any lock.
+  std::unique_ptr<WorkerStatCells[]> worker_cells_;
   std::atomic<uint64_t> worker_gen_{0};    ///< bumped to retire a generation
   std::atomic<uint64_t> worker_count_{0};  ///< gauge mirror of workers_.size()
 
   /// Idle workers park here; producers notify on empty→nonempty pushes,
-  /// and Drain and resizes notify on shutdown and retirement.
+  /// and Drain and Pause notify on shutdown and retirement.
   EventCount wake_ec_;
 
   /// Consumer→producer not-full eventcounts, sharded by ring group

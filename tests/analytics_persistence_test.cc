@@ -7,14 +7,15 @@
 #include <vector>
 
 #include "analytics/counter_store.h"
+#include "temp_file.h"
 
 namespace countlib {
 namespace {
 
 class PersistenceTest : public testing::Test {
  protected:
-  void TearDown() override { std::remove(kPath); }
-  static constexpr const char* kPath = "/tmp/countlib_store_test.bin";
+  const TempFile file_{"store.bin"};
+  const char* const kPath = file_.path();
 };
 
 analytics::CounterStore MakeExactStore(uint64_t seed = 1) {
@@ -26,6 +27,7 @@ analytics::CounterStore MakeExactStore(uint64_t seed = 1) {
 // Writes raw little-endian words; words[0] is the 8-byte magic.
 void WriteWords(const char* path, const std::vector<uint64_t>& words) {
   std::FILE* f = std::fopen(path, "wb");
+  ASSERT_NE(f, nullptr);
   std::fwrite(words.data(), sizeof(uint64_t), words.size(), f);
   std::fclose(f);
 }
@@ -91,6 +93,7 @@ TEST_F(PersistenceTest, StrideMismatchRejected) {
 
 TEST_F(PersistenceTest, GarbageFileRejected) {
   std::FILE* f = std::fopen(kPath, "wb");
+  ASSERT_NE(f, nullptr);
   std::fputs("definitely not a store", f);
   std::fclose(f);
   auto store = MakeStore();
@@ -106,6 +109,7 @@ TEST_F(PersistenceTest, TruncatedFileRejectedAndStateUnharmed) {
   ASSERT_TRUE(store.SaveToFile(kPath).ok());
   // Truncate the file to half.
   std::FILE* f = std::fopen(kPath, "rb");
+  ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
   long size = std::ftell(f);
   std::fclose(f);

@@ -88,10 +88,11 @@ TEST(ShardedConcurrentTest, FrozenCutIsBatchAtomic) {
 }
 
 // The cross-shard cut, end to end (the issue's acceptance test): heavy
-// pipeline ingest into a sharded store while SetWorkerCount churns worker
-// (= lane) ownership and a reader snapshots concurrently. Books must be
-// exact: after Drain, the merged view equals the quiesced ground truth —
-// no event lost or double-counted across resize barriers or freezes.
+// pipeline ingest into a sharded store while Pause/Resume cycles retire
+// and respawn the lane writers and a reader snapshots concurrently. Books
+// must be exact: after Drain, the merged view equals the quiesced ground
+// truth — no event lost or double-counted across pause barriers or
+// freezes.
 TEST(ShardedConcurrentTest, PipelineCutUnderWorkerChurnIsExact) {
   constexpr uint64_t kProducers = 4;
   constexpr uint64_t kKeys = 97;
@@ -120,10 +121,10 @@ TEST(ShardedConcurrentTest, PipelineCutUnderWorkerChurnIsExact) {
 
   std::atomic<bool> done{false};
   std::thread churn([&] {
-    uint64_t n = 1;
     while (!done.load(std::memory_order_acquire)) {
-      ASSERT_TRUE(pipe->SetWorkerCount(n).ok());
-      n = n % 4 + 1;  // 1 → 2 → 3 → 4 → 1 ...
+      ASSERT_TRUE(pipe->Pause().ok());
+      std::this_thread::yield();
+      ASSERT_TRUE(pipe->Resume().ok());
       std::this_thread::yield();
     }
   });

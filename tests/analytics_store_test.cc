@@ -16,6 +16,7 @@
 #include "core/counter_factory.h"
 #include "stats/error_metrics.h"
 #include "stream/trace.h"
+#include "temp_file.h"
 #include "util/bit_io.h"
 
 namespace countlib {
@@ -154,7 +155,8 @@ TEST(CounterStoreTableTest, ExtremeKeysAreOrdinaryKeys) {
   ASSERT_TRUE(store.MergeFrom(other).ok());
   ExpectHolds(store, truth);
 
-  const char* path = "/tmp/countlib_store_edge_keys.bin";
+  const TempFile file("edge_keys.bin");
+  const char* path = file.path();
   ASSERT_TRUE(store.SaveToFile(path).ok());
   auto restored = MakeExact32(3);
   ASSERT_TRUE(restored.LoadFromFile(path).ok());
@@ -273,7 +275,8 @@ TEST(CounterStoreTableTest, HandBuiltClstore1ImageLoads) {
     words.push_back(e.slot);
   }
   words.push_back(pool.size());
-  const char* path = "/tmp/countlib_store_clstore1.bin";
+  const TempFile file("clstore1.bin");
+  const char* path = file.path();
   std::FILE* f = std::fopen(path, "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(words.data(), sizeof(uint64_t), words.size(), f),

@@ -9,8 +9,8 @@
 //     via std::function callbacks run under the registry lock; the
 //     gauges read relaxed mirrors and must never freeze or park, so this
 //     path acquires nothing;
-//   IngestPipeline::workers_mu_ (10) -> cells_mu_ (20)
-//     via SetWorkerCount's resize barrier;
+//   IngestPipeline::workers_mu_ (10), held across Pause's join barrier
+//     while stats readers fold the lock-free per-worker cells;
 //   Registry::mu_ (60) -> MetricsCollector::series_mu_ (70)
 //     via the collector's series-provider callback in TakeSnapshot.
 
@@ -84,21 +84,22 @@ TEST(LockHierarchyTest, RegistrySnapshotVsLaneWriters) {
   EXPECT_GT(store->NumKeys(), 0u);
 }
 
-// workers_mu_ (10) -> cells_mu_ (20): elastic resizes take both in order
-// while stats readers take cells_mu_ alone and submitters run the lock-free
-// fast path.
+// workers_mu_ (10): Pause/Resume cycles hold it across joins and spawns
+// while stats readers fold the per-worker cells without any lock and
+// submitters run the lock-free fast path.
 TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
   auto store = MakeStore();
   pipeline::PipelineOptions opt;
   opt.num_producers = 2;
-  opt.num_workers = 1;
+  opt.num_workers = 2;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   std::atomic<bool> stop{false};
   std::thread resizer([&] {
-    uint64_t n = 1;
+    bool paused = false;
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(pipe->SetWorkerCount(1 + (n++ % 3)).ok());
+      ASSERT_TRUE(paused ? pipe->Resume().ok() : pipe->Pause().ok());
+      paused = !paused;
       std::this_thread::yield();
     }
   });

@@ -73,7 +73,7 @@ TEST(NetChaosTest, SlowConsumerStallsTheClientInsteadOfBuffering) {
   popt.queue_capacity = kRing;
   popt.num_workers = 1;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
-  ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // pause: nothing drains
+  ASSERT_TRUE(pipe->Pause().ok());  // pause: nothing drains
 
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 
@@ -100,7 +100,7 @@ TEST(NetChaosTest, SlowConsumerStallsTheClientInsteadOfBuffering) {
   EXPECT_GE(paused.credit_stalls, 1u);  // acks went out at the floor
 
   // Resume; the stalled client must finish losslessly.
-  ASSERT_TRUE(pipe->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipe->Resume().ok());
   producer.join();
 
   EXPECT_EQ(cs.events_submitted, kTotal);

@@ -214,7 +214,7 @@ TEST(NetServerTest, ShedPolicyIsReportedOverTheWire) {
   opt.queue_capacity = 64;
   opt.overload.policy = pipeline::OverloadPolicy::kShed;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // pause: nothing drains
+  ASSERT_TRUE(pipe->Pause().ok());  // pause: nothing drains
 
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
@@ -230,7 +230,7 @@ TEST(NetServerTest, ShedPolicyIsReportedOverTheWire) {
   EXPECT_EQ(cs.events_lost_unacked, 0u);
 
   ASSERT_TRUE(server->Stop().ok());
-  ASSERT_TRUE(pipe->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipe->Resume().ok());
   ASSERT_TRUE(pipe->Drain().ok());
   // The pipeline's own exact shed accounting must agree with the wire's.
   const pipeline::PipelineStats ps = pipe->Stats();

@@ -211,15 +211,6 @@ TEST(ObsRegistryTest, SnapshotAggregatesSameNamedInstruments) {
   EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 7.0);
 }
 
-TEST(ObsRegistryTest, GaugeKindSurvivesToSnapshot) {
-  Registry reg;
-  const Registration r = reg.RegisterGauge(
-      "resize_errors_total", [] { return 0.0; }, GaugeKind::kCounterGauge);
-  const Snapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.gauge_kinds.at("resize_errors_total"),
-            GaugeKind::kCounterGauge);
-}
-
 TEST(ObsRegistryTest, SeriesProviderFoldsIntoSnapshot) {
   Registry reg;
   const Registration r = reg.RegisterSeriesProvider([] {

@@ -1,8 +1,9 @@
-// Elasticity tests for the ingestion pipeline: runtime worker-pool
-// resizing (SetWorkerCount), per-worker stats attribution, and the
-// acceptance stress test — transient producer threads leasing slots from
-// the registry while the worker count changes mid-stream, with a
-// zero-lost-events postcondition checked against exact counters.
+// Pause/resume tests for the ingestion pipeline: the worker-count clamp at
+// Make, pausing and resuming the fixed pool, per-worker stats attribution,
+// and the acceptance stress test — transient producer threads leasing
+// slots from the registry while the pool is paused and resumed
+// mid-stream, with a zero-lost-events postcondition checked against exact
+// counters.
 
 #include "pipeline/ingest_pipeline.h"
 
@@ -27,27 +28,57 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore(uint64_t shards =
       .ValueOrDie();
 }
 
-TEST(ElasticPipelineTest, SetWorkerCountValidatesAndClamps) {
+TEST(ElasticPipelineTest, MakeClampsWorkerCount) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   EXPECT_EQ(pipeline->num_workers(), 2u);
-
-  EXPECT_TRUE(pipeline->SetWorkerCount(257).IsInvalidArgument());
-  EXPECT_TRUE(pipeline->SetWorkerCount(3).ok());
-  EXPECT_EQ(pipeline->num_workers(), 3u);
-  // More workers than producer slots is useless: clamped, not an error.
-  EXPECT_TRUE(pipeline->SetWorkerCount(64).ok());
-  EXPECT_EQ(pipeline->num_workers(), 4u);
-  // No-op resize.
-  EXPECT_TRUE(pipeline->SetWorkerCount(4).ok());
-  EXPECT_EQ(pipeline->num_workers(), 4u);
-
   ASSERT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(pipeline->num_workers(), 0u);
-  EXPECT_TRUE(pipeline->SetWorkerCount(2).IsFailedPrecondition());
+
+  opt.num_workers = 257;
+  EXPECT_TRUE(IngestPipeline::Make(store.get(), opt).status().IsInvalidArgument());
+  // More workers than producer slots is useless: clamped, not an error.
+  opt.num_workers = 64;
+  pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  EXPECT_EQ(pipeline->num_workers(), 4u);
+  EXPECT_EQ(pipeline->PerWorkerStats().size(), 4u);
+  ASSERT_TRUE(pipeline->Drain().ok());
+  // Worker w writes store lane w, so the pool also fits the lane count.
+  auto narrow = MakeExactStore(/*shards=*/3);
+  pipeline = IngestPipeline::Make(narrow.get(), opt).ValueOrDie();
+  EXPECT_EQ(pipeline->num_workers(), 3u);
+  ASSERT_TRUE(pipeline->Drain().ok());
+}
+
+TEST(ElasticPipelineTest, PauseResumeAreIdempotentAndRefusedAfterDrain) {
+  auto store = MakeExactStore();
+  PipelineOptions opt;
+  opt.num_producers = 4;
+  opt.num_workers = 3;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+
+  // Resume on a running pipeline is a no-op.
+  EXPECT_TRUE(pipeline->Resume().ok());
+  EXPECT_EQ(pipeline->num_workers(), 3u);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ASSERT_TRUE(pipeline->Pause().ok());
+    EXPECT_EQ(pipeline->num_workers(), 0u);
+    // Pause on a paused pipeline is a no-op too.
+    EXPECT_TRUE(pipeline->Pause().ok());
+    EXPECT_EQ(pipeline->num_workers(), 0u);
+    ASSERT_TRUE(pipeline->Resume().ok());
+    EXPECT_EQ(pipeline->num_workers(), 3u);
+  }
+  // The pool is the one fixed at Make: cycles never add stat cells.
+  EXPECT_EQ(pipeline->PerWorkerStats().size(), 3u);
+
+  ASSERT_TRUE(pipeline->Drain().ok());
+  EXPECT_TRUE(pipeline->Pause().IsFailedPrecondition());
+  EXPECT_TRUE(pipeline->Resume().IsFailedPrecondition());
+  EXPECT_EQ(pipeline->num_workers(), 0u);
 }
 
 TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
@@ -58,8 +89,8 @@ TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
   opt.queue_capacity = 4096;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
-  // Interleave submissions with grow and shrink resizes; every accepted
-  // event must survive the ownership re-deal.
+  // Interleave submissions with pauses and resumes; every accepted event
+  // must survive the pool's retirement and respawn.
   uint64_t total_weight = 0;
   for (int round = 0; round < 4; ++round) {
     for (uint64_t p = 0; p < opt.num_producers; ++p) {
@@ -68,7 +99,8 @@ TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
         total_weight += 2;
       }
     }
-    ASSERT_TRUE(pipeline->SetWorkerCount(round % 2 == 0 ? 4 : 1).ok());
+    ASSERT_TRUE(round % 2 == 0 ? pipeline->Pause().ok()
+                               : pipeline->Resume().ok());
   }
   ASSERT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(store->Estimate(1).ValueOrDie(), static_cast<double>(total_weight));
@@ -91,11 +123,10 @@ TEST(ElasticPipelineTest, PerWorkerStatsAttributeActivity) {
     }
   }
   ASSERT_TRUE(pipeline->Flush().ok());
-  ASSERT_TRUE(pipeline->SetWorkerCount(4).ok());
   ASSERT_TRUE(pipeline->Drain().ok());
 
   const auto workers = pipeline->PerWorkerStats();
-  ASSERT_EQ(workers.size(), 4u);  // cells grow to the max count ever used
+  ASSERT_EQ(workers.size(), 2u);  // one cell per worker of the fixed pool
   uint64_t per_worker_events = 0;
   uint64_t per_worker_batches = 0;
   for (const auto& w : workers) {
@@ -103,19 +134,18 @@ TEST(ElasticPipelineTest, PerWorkerStatsAttributeActivity) {
     per_worker_batches += w.batches_applied;
   }
   const PipelineStats total = pipeline->Stats();
-  // The Flush before the resize guarantees the pre-resize events were
-  // applied by workers (not Drain's unattributed sweep), so the per-worker
-  // sums must cover everything.
+  // The Flush before Drain guarantees the events were applied by workers
+  // (not Drain's unattributed sweep), so the per-worker sums must cover
+  // everything.
   EXPECT_EQ(per_worker_events, total.events_applied);
   EXPECT_EQ(per_worker_batches, total.batches_applied);
   EXPECT_EQ(total.events_applied, 4000u);
 }
 
-// Regression for the SetWorkerCount(0) hang: pausing used to strand
-// accepted events behind a Flush that could never finish. The contract is
-// now explicit — 0 pauses the pipeline, Flush on a paused backlog fails
-// fast instead of hanging, and resuming (or Drain's final sweep) applies
-// every queued event.
+// Regression for the paused-Flush hang: pausing used to strand accepted
+// events behind a Flush that could never finish. The contract is now
+// explicit — Flush on a paused backlog fails fast instead of hanging, and
+// resuming (or Drain's final sweep) applies every queued event.
 TEST(ElasticPipelineTest, PauseFailsFlushFastAndResumeAppliesBacklog) {
   auto store = MakeExactStore();
   PipelineOptions opt;
@@ -123,7 +153,7 @@ TEST(ElasticPipelineTest, PauseFailsFlushFastAndResumeAppliesBacklog) {
   opt.num_workers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  ASSERT_TRUE(pipeline->Pause().ok());
   EXPECT_EQ(pipeline->num_workers(), 0u);
   for (uint64_t p = 0; p < 2; ++p) {
     for (int i = 0; i < 100; ++i) {
@@ -137,7 +167,7 @@ TEST(ElasticPipelineTest, PauseFailsFlushFastAndResumeAppliesBacklog) {
   EXPECT_EQ(pipeline->Stats().events_applied, 0u);
 
   // Resume: the backlog drains and Flush succeeds again.
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Resume().ok());
   ASSERT_TRUE(pipeline->Flush().ok());
   EXPECT_EQ(store->Estimate(5).ValueOrDie(), 200.0);
 
@@ -156,7 +186,7 @@ TEST(ElasticPipelineTest, DrainSweepsPausedBacklog) {
   opt.num_workers = 1;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  ASSERT_TRUE(pipeline->Pause().ok());
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(pipeline->TrySubmit(i % 2, /*key=*/9, /*weight=*/2).ok());
   }
@@ -180,7 +210,7 @@ TEST(ElasticPipelineTest, BlockingSubmitParksOnBackpressureAndWakesOnDrain) {
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // Pause, then fill the ring to the brim.
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  ASSERT_TRUE(pipeline->Pause().ok());
   uint64_t accepted = 0;
   while (pipeline->TrySubmit(0, /*key=*/1, /*weight=*/1).ok()) ++accepted;
   ASSERT_EQ(accepted, 64u);
@@ -204,7 +234,7 @@ TEST(ElasticPipelineTest, BlockingSubmitParksOnBackpressureAndWakesOnDrain) {
   // Resume. The first drain pops the full ring, publishes the nonfull
   // epoch, and the parked producer must land its event promptly.
   const auto resume = std::chrono::steady_clock::now();
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Resume().ok());
   producer.join();
   const auto woke = std::chrono::steady_clock::now();
   EXPECT_TRUE(submitted.load(std::memory_order_acquire));
@@ -268,7 +298,7 @@ TEST(ElasticPipelineTest, SustainedBackpressureSubmitLosesNothing) {
 
 // The acceptance-criteria stress test: transient threads acquire and
 // release producer slots from the shared registry (more threads than
-// slots) while the main thread resizes the worker pool mid-stream. After
+// slots) while the main thread pauses and resumes the pool mid-stream. After
 // Drain, events_applied must equal the sum of OK'd submits, and exact
 // per-key totals must match — zero accepted events lost or duplicated.
 TEST(ElasticPipelineTest, TransientProducersWithResizesLoseNothing) {
@@ -308,10 +338,12 @@ TEST(ElasticPipelineTest, TransientProducersWithResizesLoseNothing) {
     });
   }
 
-  // Resize the worker pool while the producers churn through leases.
-  for (uint64_t n : {4u, 1u, 3u, 2u, 4u}) {
+  // Pause and resume the pool while the producers churn through leases.
+  for (int cycle = 0; cycle < 5; ++cycle) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(pipeline->SetWorkerCount(n).ok());
+    ASSERT_TRUE(pipeline->Pause().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(pipeline->Resume().ok());
   }
   for (auto& t : threads) t.join();
   ASSERT_TRUE(pipeline->Drain().ok());

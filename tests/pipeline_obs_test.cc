@@ -19,7 +19,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
-#include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 
 // Binary-wide allocation counter: the zero-alloc tests diff it around a
@@ -127,13 +126,13 @@ TEST(PipelineObsTest, SubmitApplyLatencyRecordsDeterministically) {
   options.enable_metrics = true;
   options.latency_sample_shift = 0;  // stamp every event
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  ASSERT_TRUE(pipeline->Pause().ok());
   obs::CoarseClock::Set(1000000);
   for (uint64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(pipeline->TrySubmit(0, i, 1).ok());
   }
   obs::CoarseClock::Set(3000000);
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Resume().ok());
   ASSERT_TRUE(pipeline->Flush().ok());
   const obs::Snapshot snap = obs::GlobalSnapshot();
   const obs::HistogramSnapshot lat =
@@ -168,7 +167,7 @@ TEST(PipelineObsTest, NoTickerMeansNoStamping) {
 }
 
 TEST(PipelineObsTest, InvariantsZeroAfterStress) {
-  // Multi-producer stress with an autoscaler and a live collector; after
+  // Multi-producer stress with a live collector; after
   // the dust settles every must-stay-zero metric must read zero and the
   // accounting must balance to the last event.
   auto store = MakeStore();
@@ -179,13 +178,6 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
   options.enable_metrics = true;
   options.latency_sample_shift = 4;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
-  AutoscalerConfig config;
-  config.sample_interval = std::chrono::milliseconds(5);
-  config.cooldown = std::chrono::milliseconds(10);
-  config.scale_up_queue_depth = 64;
-  config.scale_down_queue_depth = 8;
-  config.enable_metrics = true;
-  auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
   obs::CollectorOptions collector_options;
   collector_options.sample_interval = std::chrono::milliseconds(5);
   auto collector =
@@ -203,12 +195,9 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
   }
   for (auto& t : producers) t.join();
   ASSERT_TRUE(pipeline->Flush().ok());
-  scaler->Stop();
 
   const obs::Snapshot snap = obs::GlobalSnapshot();
   EXPECT_EQ(snap.counters.at("countlib_pipeline_events_dropped_total"), 0u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_autoscaler_resize_errors_total"),
-                   0.0);
   EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_pipeline_unaccounted_events"),
                    0.0);
   EXPECT_EQ(snap.counters.at("countlib_pipeline_events_submitted_total"),
@@ -239,11 +228,11 @@ TEST(PipelineObsTest, ShedAccountingBalances) {
   options.enable_metrics = true;
   options.overload.policy = OverloadPolicy::kShed;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // force sustained fullness
+  ASSERT_TRUE(pipeline->Pause().ok());  // force sustained fullness
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(pipeline->Submit(0, i, 1).ok());
   }
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Resume().ok());
   ASSERT_TRUE(pipeline->Flush().ok());
   const PipelineStats stats = pipeline->Stats();
   const obs::Snapshot snap = obs::GlobalSnapshot();
@@ -281,7 +270,7 @@ TEST(PipelineObsTest, InstrumentedTrySubmitIsAllocFree) {
   options.enable_metrics = true;
   options.latency_sample_shift = 0;  // stamp every event: worst case
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // no worker threads
+  ASSERT_TRUE(pipeline->Pause().ok());  // no worker threads
   obs::CoarseClock::Set(1000000);  // ticker "running"
   // Warm thread-locals AND both outcomes: fill the ring so the first
   // rejection happens here (the preallocated pending Status is a lazily
@@ -296,7 +285,7 @@ TEST(PipelineObsTest, InstrumentedTrySubmitIsAllocFree) {
   const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
   obs::CoarseClock::Set(0);
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Resume().ok());
   ASSERT_TRUE(pipeline->Flush().ok());
 }
 

@@ -40,7 +40,7 @@ TEST(OverloadPolicyTest, ShedAccountsExactlyPerSlot) {
   opt.overload.policy = OverloadPolicy::kShed;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   EXPECT_EQ(pipeline->overload_policy(), OverloadPolicy::kShed);
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // freeze: no drains
+  ASSERT_TRUE(pipeline->Pause().ok());  // freeze: no drains
 
   constexpr uint64_t kAttemptsPerSlot = 500;  // >> ring capacity of 64
   uint64_t attempts = 0;
@@ -63,7 +63,7 @@ TEST(OverloadPolicyTest, ShedAccountsExactlyPerSlot) {
   EXPECT_EQ(paused.shed_per_slot[0], kAttemptsPerSlot - opt.queue_capacity);
   EXPECT_EQ(paused.shed_per_slot[1], kAttemptsPerSlot - opt.queue_capacity);
 
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Resume().ok());
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats stats = pipeline->Stats();
   // The balance sheet closes: every attempt was either applied or shed.

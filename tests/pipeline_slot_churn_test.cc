@@ -41,7 +41,7 @@ TEST(ProducerSlotChurnTest, DrainedBeforeReuseIsObservable) {
   opt.queue_capacity = kRing;
   opt.num_workers = 1;
   auto pipe = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  ASSERT_TRUE(pipe->SetWorkerCount(0).ok());
+  ASSERT_TRUE(pipe->Pause().ok());
 
   {
     auto slot = pipe->TryAcquireProducerSlot().ValueOrDie();
@@ -59,14 +59,14 @@ TEST(ProducerSlotChurnTest, DrainedBeforeReuseIsObservable) {
 
   // Resume and wait for the sweep; then the lease must come with the
   // whole ring available again.
-  ASSERT_TRUE(pipe->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipe->Resume().ok());
   Result<ProducerSlot> lease = pipe->TryAcquireProducerSlot();
   for (int i = 0; i < 500 && lease.status().IsPending(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     lease = pipe->TryAcquireProducerSlot();
   }
   ASSERT_TRUE(lease.ok()) << lease.status().ToString();
-  ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // freeze to measure capacity
+  ASSERT_TRUE(pipe->Pause().ok());  // freeze to measure capacity
   auto slot = std::move(lease).ValueOrDie();
   for (uint64_t i = 0; i < kRing; ++i) {
     ASSERT_TRUE(slot.TrySubmit(2, 1).ok()) << "capacity short at " << i;
@@ -74,7 +74,7 @@ TEST(ProducerSlotChurnTest, DrainedBeforeReuseIsObservable) {
   EXPECT_TRUE(slot.TrySubmit(2, 1).IsPending());
   slot.Release();
 
-  ASSERT_TRUE(pipe->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipe->Resume().ok());
   ASSERT_TRUE(pipe->Drain().ok());
   // Releasing never discards: both generations' events are applied.
   EXPECT_EQ(store->Estimate(1).ValueOrDie(), static_cast<double>(kRing));

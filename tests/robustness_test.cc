@@ -11,6 +11,7 @@
 #include "core/counter_factory.h"
 #include "random/rng.h"
 #include "stream/trace.h"
+#include "temp_file.h"
 #include "util/bit_io.h"
 
 namespace countlib {
@@ -93,7 +94,8 @@ TEST(RobustnessTest, BitReaderNeverReadsPastLimit) {
 
 TEST(RobustnessTest, TraceLoaderOnRandomTextFiles) {
   Rng rng(7);
-  const char* path = "/tmp/countlib_fuzz_trace.txt";
+  const TempFile file("fuzz_trace.txt");
+  const char* path = file.path();
   for (int round = 0; round < 50; ++round) {
     std::FILE* f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr);
@@ -114,7 +116,8 @@ TEST(RobustnessTest, TraceLoaderOnRandomTextFiles) {
 
 TEST(RobustnessTest, StoreLoadOnRandomBinaries) {
   Rng rng(13);
-  const char* path = "/tmp/countlib_fuzz_store.bin";
+  const TempFile file("fuzz_store.bin");
+  const char* path = file.path();
   auto store = analytics::CounterStore::MakeWithBitBudget(CounterKind::kSampling,
                                                           18, 1u << 20, 5)
                    .ValueOrDie();

@@ -7,6 +7,7 @@
 
 #include "stream/trace.h"
 #include "stream/workload.h"
+#include "temp_file.h"
 
 namespace countlib {
 namespace {
@@ -71,7 +72,8 @@ TEST(TraceTest, GenerateBurstyHitsTargetIncrements) {
 
 TEST(TraceTest, SaveLoadRoundTrip) {
   auto trace = stream::Trace::GenerateZipf(32, 0.9, 1000, 11).ValueOrDie();
-  const std::string path = "/tmp/countlib_trace_test.txt";
+  const TempFile file("trace.txt");
+  const std::string path = file.path();
   ASSERT_TRUE(trace.SaveToFile(path).ok());
   auto loaded = stream::Trace::LoadFromFile(path).ValueOrDie();
   ASSERT_EQ(loaded.num_events(), trace.num_events());
@@ -83,8 +85,10 @@ TEST(TraceTest, SaveLoadRoundTrip) {
 }
 
 TEST(TraceTest, LoadRejectsGarbage) {
-  const std::string path = "/tmp/countlib_trace_garbage.txt";
+  const TempFile file("garbage.txt");
+  const std::string path = file.path();
   std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
   std::fputs("not a trace\n", f);
   std::fclose(f);
   EXPECT_TRUE(stream::Trace::LoadFromFile(path).status().IsIOError());
